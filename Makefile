@@ -23,8 +23,9 @@ check: build race lint
 		echo "gofmt needed on:" >&2; echo "$$unformatted" >&2; exit 1; fi
 
 # lint runs the repo's architectural passes (internal/lint): the
-# tokenizer import boundary, the cancellation-polling contract and the
-# observability naming/logging conventions (obsnames).
+# tokenizer import boundary, the cancellation-polling contract, the
+# observability naming/logging conventions (obsnames), the cursor-only
+# byte path (hotbytes) and the dead-export scan (unusedexport).
 # staticcheck and govulncheck ride along warn-only when installed —
 # the build container has no module proxy, so they cannot be hard
 # dependencies.

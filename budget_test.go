@@ -57,19 +57,22 @@ func TestBudgetTripStreaming(t *testing.T) {
 	input := budgetInput(t)
 	q := gcx.MustCompile(xmark.Queries["Q1"].Text)
 
-	res, err := q.Execute(strings.NewReader(input), io.Discard, gcx.Options{MaxBufferedNodes: 4})
-	if !errors.Is(err, gcx.ErrBufferBudget) {
-		t.Fatalf("want ErrBufferBudget, got %v", err)
-	}
-	if res == nil {
-		t.Fatal("budget trip must still return the partial-run statistics")
-	}
-	if res.PeakBufferedNodes == 0 {
-		t.Errorf("partial result carries no watermark: %+v", res)
+	// Every entry point returns the partial Result with the breach.
+	for name, run := range entryPoints {
+		res, err := run(q, input, gcx.Options{MaxBufferedNodes: 4})
+		if !errors.Is(err, gcx.ErrBufferBudget) {
+			t.Fatalf("%s: want ErrBufferBudget, got %v", name, err)
+		}
+		if res == nil {
+			t.Fatalf("%s: budget trip must still return the partial-run statistics", name)
+		}
+		if res.PeakBufferedNodes == 0 {
+			t.Errorf("%s: partial result carries no watermark: %+v", name, res)
+		}
 	}
 
 	// A budget above the static bound never trips.
-	res, err = q.Execute(strings.NewReader(input), io.Discard, gcx.Options{MaxBufferedNodes: 1 << 20})
+	res, err := q.Execute(strings.NewReader(input), io.Discard, gcx.Options{MaxBufferedNodes: 1 << 20})
 	if err != nil {
 		t.Fatalf("generous budget tripped: %v", err)
 	}

@@ -137,22 +137,11 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 	}
 
 	opts := gcx.Options{EnableAggregation: *agg, RecordEvery: *plotEvery, Shards: *shards, Format: format, MaxBufferedNodes: *maxNodes, DisableJoin: *noJoin, EnableTrace: *showTrace}
-	switch *engineName {
-	case "gcx":
-		opts.Engine = gcx.EngineGCX
-	case "projection", "proj", "nogc":
-		opts.Engine = gcx.EngineProjectionOnly
-	case "dom", "naive":
-		opts.Engine = gcx.EngineDOM
-	default:
-		return fail(stderr, fmt.Errorf("unknown engine %q", *engineName))
+	if opts.Engine, err = gcx.ParseEngine(*engineName); err != nil {
+		return fail(stderr, err)
 	}
-	switch *mode {
-	case "deferred":
-	case "eager":
-		opts.SignOffMode = gcx.SignOffEager
-	default:
-		return fail(stderr, fmt.Errorf("unknown sign-off mode %q", *mode))
+	if opts.SignOffMode, err = gcx.ParseSignOffMode(*mode); err != nil {
+		return fail(stderr, err)
 	}
 
 	if *timeout > 0 {

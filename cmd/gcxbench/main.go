@@ -124,15 +124,8 @@ func main() {
 			for _, engName := range engines {
 				engName = strings.TrimSpace(engName)
 				opts := gcx.Options{EnableAggregation: entry.UsesAggregation}
-				switch engName {
-				case "gcx":
-					opts.Engine = gcx.EngineGCX
-				case "projection", "proj", "nogc":
-					opts.Engine = gcx.EngineProjectionOnly
-				case "dom", "naive":
-					opts.Engine = gcx.EngineDOM
-				default:
-					fatal(fmt.Errorf("unknown engine %q", engName))
+				if opts.Engine, err = gcx.ParseEngine(engName); err != nil {
+					fatal(err)
 				}
 				cell, err := measure(len(doc), *reps, func() (*gcx.Result, error) {
 					_, res, err := q.ExecuteString(doc, opts)
@@ -190,15 +183,8 @@ func main() {
 				for _, engName := range engines {
 					engName = strings.TrimSpace(engName)
 					opts := gcx.Options{EnableAggregation: entry.UsesAggregation, Format: gcx.FormatNDJSON}
-					switch engName {
-					case "gcx":
-						opts.Engine = gcx.EngineGCX
-					case "projection", "proj", "nogc":
-						opts.Engine = gcx.EngineProjectionOnly
-					case "dom", "naive":
-						opts.Engine = gcx.EngineDOM
-					default:
-						fatal(fmt.Errorf("unknown engine %q", engName))
+					if opts.Engine, err = gcx.ParseEngine(engName); err != nil {
+						fatal(err)
 					}
 					cell, err := measure(len(doc), *reps, func() (*gcx.Result, error) {
 						_, res, err := q.ExecuteString(doc, opts)

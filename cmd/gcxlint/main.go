@@ -1,6 +1,6 @@
 // Command gcxlint runs the repo's architectural lint passes
-// (internal/lint): eventboundary and ctxpoll. It is wired into
-// `make check` and CI.
+// (internal/lint): eventboundary, ctxpoll, obsnames, hotbytes and
+// unusedexport. It is wired into `make check` and CI.
 //
 // Usage:
 //

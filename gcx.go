@@ -29,7 +29,6 @@ package gcx
 
 import (
 	"context"
-	"fmt"
 	"io"
 	"strings"
 	"time"
@@ -41,6 +40,7 @@ import (
 	"gcx/internal/engine"
 	"gcx/internal/obs"
 	"gcx/internal/shard"
+	"gcx/internal/stats"
 )
 
 // ErrBufferBudget is the sentinel returned (wrapped, with the concrete
@@ -51,187 +51,72 @@ import (
 // returned alongside the error.
 var ErrBufferBudget = buffer.ErrBudget
 
-// Engine selects the buffering discipline of Execute.
-type Engine int
-
-const (
-	// EngineGCX is the paper's engine: stream projection plus active
-	// garbage collection (default).
-	EngineGCX Engine = iota
-	// EngineProjectionOnly applies static projection but never purges —
-	// the static-analysis-only class of systems in the paper's Fig. 5.
-	EngineProjectionOnly
-	// EngineDOM buffers the complete input before evaluating — the
-	// conventional in-memory class (Galax, Saxon, QizX in the paper).
-	EngineDOM
+// The run vocabulary is defined once, in internal/core (with the
+// sign-off modes in internal/engine, the buffer plot in internal/stats
+// and the trace phases in internal/obs); these aliases are its public
+// names.
+type (
+	// Options tunes query execution; see core.Options for every field.
+	Options = core.Options
+	// Result reports the statistics of one execution; see core.Result.
+	Result = core.Result
+	// Engine selects the buffering discipline of Execute.
+	Engine = core.Engine
+	// SignOffMode selects when a signOff on a still-streaming subtree
+	// takes effect; see DESIGN.md §3.
+	SignOffMode = engine.SignOffMode
+	// Format selects the input syntax — and with it the output syntax
+	// (DESIGN.md §8); see core.Format.
+	Format = core.Format
+	// SeriesPoint is one sample of the buffer plot: tokens processed
+	// (the paper's x-axis), nodes buffered (y-axis) and estimated bytes.
+	SeriesPoint = stats.Point
+	// CompileOptions exposes the static-analysis switches; the zero
+	// value reproduces the paper's analysis. See analysis.Options.
+	CompileOptions = analysis.Options
+	// TracePhase is one phase of an execution trace
+	// (Options.EnableTrace): a stage name and the cumulative wall time
+	// spent in it.
+	TracePhase = obs.PhaseTime
 )
 
-// Format selects the input syntax — and with it the output syntax: XML
-// input serializes results as XML, JSON/NDJSON input as JSON lines
-// (DESIGN.md §8). The engine itself is format-neutral; the format only
-// picks which front end feeds it events.
-type Format int
-
+// The constants of the aliased types; core and engine document each.
 const (
-	// FormatAuto sniffs the stream's first non-whitespace byte: '<'
-	// means XML, anything else JSON. Auto never resolves to NDJSON —
-	// line framing (and with it NDJSON sharding) is an explicit promise
-	// the caller must make via FormatNDJSON.
-	FormatAuto Format = iota
-	// FormatXML is the paper's XML front end.
-	FormatXML
-	// FormatJSON is a stream of whitespace-separated JSON values: a
-	// single document, or concatenated/pretty-printed values. Object
-	// keys become element names, arrays repeated siblings, so the
-	// query's paths apply unchanged under the virtual /root/record
-	// document shape.
-	FormatJSON
-	// FormatNDJSON is newline-delimited JSON — exactly one record per
-	// line, the boundary record-aligned stream sharding cuts at.
-	FormatNDJSON
+	EngineGCX            = core.EngineGCX            // stream projection plus active GC (default)
+	EngineProjectionOnly = core.EngineProjectionOnly // static projection, never purges
+	EngineDOM            = core.EngineDOM            // buffers the complete input
+
+	SignOffDeferred = engine.Deferred // removal waits for the close tag (default)
+	SignOffEager    = engine.Eager    // reads to the subtree's end, removes at once
+
+	FormatAuto   = core.FormatAuto   // sniff: '<' means XML, anything else JSON
+	FormatXML    = core.FormatXML    // the paper's XML front end
+	FormatJSON   = core.FormatJSON   // whitespace-separated JSON values
+	FormatNDJSON = core.FormatNDJSON // one JSON record per line; shardable
 )
 
-func (f Format) String() string { return f.core().String() }
-
-// core maps the public constant to the internal one.
-func (f Format) core() core.Format {
-	switch f {
-	case FormatXML:
-		return core.FormatXML
-	case FormatJSON:
-		return core.FormatJSON
-	case FormatNDJSON:
-		return core.FormatNDJSON
-	default:
-		return core.FormatAuto
-	}
-}
-
-// ParseFormat resolves a CLI/URL format name: auto, xml, json, ndjson
-// (aliases jsonl, json-lines). The empty string means FormatAuto.
-func ParseFormat(s string) (Format, error) {
-	f, err := core.ParseFormat(s)
-	if err != nil {
-		return FormatAuto, err
-	}
-	return fromCore(f), nil
-}
-
-// DetectPathFormat guesses a format from a file name's extension
-// (.xml, .json, .ndjson, .jsonl), returning FormatAuto when the
-// extension is not telling.
-func DetectPathFormat(path string) Format {
-	return fromCore(core.DetectPathFormat(path))
-}
-
-func fromCore(f core.Format) Format {
-	switch f {
-	case core.FormatXML:
-		return FormatXML
-	case core.FormatJSON:
-		return FormatJSON
-	case core.FormatNDJSON:
-		return FormatNDJSON
-	default:
-		return FormatAuto
-	}
-}
-
-// SignOffMode selects when a signOff on a still-streaming subtree takes
-// effect; see DESIGN.md §3.
-type SignOffMode int
-
-const (
-	// SignOffDeferred queues the removal until the subtree's close tag
-	// arrives (default; matches the paper's published buffer plots).
-	SignOffDeferred SignOffMode = iota
-	// SignOffEager forces the input forward to the subtree's end and
-	// removes immediately.
-	SignOffEager
-)
-
-// Options tunes query execution.
 // MaxShards is the upper bound on Options.Shards: each shard is a full
 // engine instance with its own buffer manager, so larger requests are
 // clamped rather than translated into unbounded goroutines.
 const MaxShards = shard.MaxWorkers
 
-type Options struct {
-	Engine      Engine
-	SignOffMode SignOffMode
-	// Format selects the input (and with it the output) syntax; the
-	// zero value FormatAuto sniffs the stream's first non-whitespace
-	// byte. Sharded execution (Shards > 1) partitions XML input at the
-	// compiled partition path and FormatNDJSON input at newlines;
-	// FormatJSON input makes no line-framing promise and always runs
-	// sequentially.
-	Format Format
-	// EnableAggregation opts into the aggregation extension — count(),
-	// sum(), min(), max(), avg() in output position (the paper's
-	// fragment excludes aggregation).
-	EnableAggregation bool
-	// DisableSubtreeSkip turns off projection-guided byte-level subtree
-	// skipping (DESIGN.md §7), forcing the streaming engines to
-	// tokenize every input byte. The query output is byte-identical
-	// either way; the switch exists for A/B measurements and parity
-	// tests. Runs with RecordEvery set disable skipping automatically,
-	// so the recorded per-token buffer plots keep the paper's x-axis.
-	DisableSubtreeSkip bool
-	// RecordEvery samples (tokens processed → nodes buffered) every N
-	// tokens for buffer plots like the paper's Figures 3 and 4;
-	// 0 disables recording.
-	RecordEvery int64
-	// Shards requests sharded data-parallel execution (DESIGN.md §6):
-	// the input is partitioned at the query's outermost for-loop path
-	// and evaluated by Shards concurrent engine instances, with outputs
-	// merged in input order so the result is byte-identical to the
-	// sequential run. 0 or 1 keeps the sequential engine; counts above
-	// MaxShards are clamped. Detected joins shard too: the probe side is
-	// partitioned and the build section broadcast to every worker.
-	// Queries that are not partitionable (whole-input aggregation,
-	// correlated loops beyond the join shape — see Query.Shardable) and
-	// runs with RecordEvery set fall back to sequential execution
-	// transparently.
-	Shards int
-	// MaxBufferedNodes, when positive, is the run's node budget
-	// (DESIGN.md §9): the first buffered node pushing the population
-	// past it aborts the run within one token with an error wrapping
-	// ErrBufferBudget — graceful degradation instead of unbounded
-	// memory. Sequential streaming runs return the partial Result
-	// alongside the error. Sharded runs apply the budget per worker
-	// (each shard is an independent engine instance), so the run's
-	// total is bounded by Shards×MaxBufferedNodes. Zero means
-	// unlimited. Query.Report says, per query, whether a budget can
-	// statically be guaranteed to suffice — see ExplainReport.
-	MaxBufferedNodes int64
-	// DisableJoin turns off the streaming hash join operator
-	// (DESIGN.md §10), evaluating detected two-variable equality joins
-	// with nested loops instead. The query output is byte-identical
-	// either way; the switch exists for A/B measurements and
-	// differential tests.
-	DisableJoin bool
-	// EnableTrace records per-phase wall time (DESIGN.md §11) into
-	// Result.Trace: compile, setup, stream, join_build/join_probe,
-	// split/merge (sharded runs) and eval. For sequential runs the
-	// phases after compile sum to Result.Duration exactly; sharded
-	// runs sum worker phases across workers, so their total can exceed
-	// the wall time. Off by default — the stamps cost two monotonic
-	// clock reads per evaluator pull when on.
-	EnableTrace bool
-}
+// ParseFormat resolves a CLI/URL format name: auto, xml, json, ndjson
+// (aliases jsonl, json-lines). The empty string means FormatAuto.
+func ParseFormat(s string) (Format, error) { return core.ParseFormat(s) }
 
-// TracePhase is one phase of an execution trace (Options.EnableTrace):
-// a stage name and the cumulative wall time spent in it.
-type TracePhase struct {
-	// Phase is the stage: compile, setup, stream, join_build,
-	// join_probe, split, merge or eval.
-	Phase string `json:"phase"`
-	// Nanos is the cumulative wall time in nanoseconds.
-	Nanos int64 `json:"nanos"`
-}
+// DetectPathFormat guesses a format from a file name's extension
+// (.xml, .json, .ndjson, .jsonl), returning FormatAuto when the
+// extension is not telling.
+func DetectPathFormat(path string) Format { return core.DetectPathFormat(path) }
 
-// Duration returns the phase time as a time.Duration.
-func (p TracePhase) Duration() time.Duration { return time.Duration(p.Nanos) }
+// ParseEngine resolves a CLI/URL engine name: gcx, projection (aliases
+// proj, nogc) or dom (alias naive). The empty string means EngineGCX.
+// Engine.String returns the canonical name.
+func ParseEngine(s string) (Engine, error) { return core.ParseEngine(s) }
+
+// ParseSignOffMode resolves a CLI/URL sign-off mode name: deferred or
+// eager. The empty string means SignOffDeferred.
+func ParseSignOffMode(s string) (SignOffMode, error) { return core.ParseSignOffMode(s) }
 
 // Role describes one projection path derived by static analysis.
 type Role struct {
@@ -244,77 +129,6 @@ type Role struct {
 	Kind string
 	// Provenance points at the query fragment that created the role.
 	Provenance string
-}
-
-// SeriesPoint is one sample of the buffer plot.
-type SeriesPoint struct {
-	// Token is the number of input tokens processed (x-axis of the
-	// paper's plots).
-	Token int64
-	// Nodes is the number of buffered XML nodes (y-axis).
-	Nodes int64
-	// Bytes estimates the buffered size at the sample.
-	Bytes int64
-}
-
-// Result reports the statistics of one execution.
-type Result struct {
-	// TokensProcessed is the number of input tokens delivered to the
-	// engine. With subtree skipping active (the default, DESIGN.md §7)
-	// tokens inside skipped subtrees are not produced and therefore not
-	// counted — see BytesSkipped/TagsSkipped for what was
-	// fast-forwarded. Runs with DisableSubtreeSkip or RecordEvery set
-	// count every token of the document.
-	TokensProcessed int64
-	// PeakBufferedNodes is the buffer high watermark in nodes.
-	PeakBufferedNodes int64
-	// PeakBufferedBytes estimates the memory high watermark.
-	PeakBufferedBytes int64
-	// FinalBufferedNodes is the buffer population after evaluation.
-	FinalBufferedNodes int64
-	// TotalAppended and TotalPurged count buffer churn over the run.
-	TotalAppended int64
-	TotalPurged   int64
-	// OutputBytes is the size of the serialized result.
-	OutputBytes int64
-	// BytesSkipped is the number of input bytes the engine
-	// fast-forwarded past at byte level without tokenizing, because the
-	// compiled path automaton proved no projection path could observe
-	// them (DESIGN.md §7). Zero when skipping is disabled or the query
-	// observes the whole document.
-	BytesSkipped int64
-	// TagsSkipped counts element tags inside skipped subtrees — a lower
-	// bound on the tokens the run did not have to produce (text runs in
-	// skipped subtrees are not counted).
-	TagsSkipped int64
-	// SubtreesSkipped counts byte-level fast-forwards taken.
-	SubtreesSkipped int64
-	// JoinProbeTuples, JoinBuildTuples and JoinMatches report the
-	// streaming hash join operator's work (DESIGN.md §10): probe-side
-	// bindings captured, build-side tuples materialized into the hash
-	// table, and matched payload emissions. All zero when the query has
-	// no detected join or Options.DisableJoin is set.
-	JoinProbeTuples int64
-	JoinBuildTuples int64
-	JoinMatches     int64
-	// Duration is the wall-clock execution time.
-	Duration time.Duration
-	// Series is the recorded buffer plot (empty unless
-	// Options.RecordEvery was set).
-	Series []SeriesPoint
-	// ShardsUsed is the number of parallel engine instances the run
-	// used: 1 for the sequential path (including fallbacks from
-	// Options.Shards > 1), Options.Shards when sharding was applied.
-	// Under sharding the buffer watermarks are sums of per-worker
-	// peaks, a documented upper bound (DESIGN.md §6).
-	ShardsUsed int
-	// Chunks is the number of input partitions of a sharded run
-	// (0 for sequential runs).
-	Chunks int
-	// Trace is the per-phase wall-time breakdown of the run, starting
-	// with the query's compile time; nil unless Options.EnableTrace was
-	// set.
-	Trace []TracePhase
 }
 
 // Query is a compiled query, reusable across executions. A Query is
@@ -333,27 +147,6 @@ type Query struct {
 	compileNanos int64
 }
 
-// CompileOptions exposes the static-analysis ablation switches. The
-// zero value reproduces the paper's analysis.
-type CompileOptions struct {
-	// DisableFirstWitness turns off the [1] first-witness pruning of
-	// existence-condition projection paths (the paper's r4), buffering
-	// every witness candidate. For ablation measurements only.
-	DisableFirstWitness bool
-	// CoarseGranularity switches use roles to subtree granularity
-	// (whole element subtrees instead of node-precise projection) —
-	// the relevance model of simpler streaming systems. For ablation
-	// measurements only.
-	CoarseGranularity bool
-	// StrictStreaming rejects queries the static analyzer classifies
-	// as Unbounded (joins, whole-input aggregation, absolute-path
-	// outputs — DESIGN.md §9) at compile time, with the analyzer's
-	// reason. Use it where a runtime node budget will be enforced:
-	// an Unbounded query would only ever trip the budget on real
-	// inputs, so strict mode fails fast instead.
-	StrictStreaming bool
-}
-
 // Compile parses and statically analyzes a query: normalization to the
 // single-step core, projection-path/role derivation and signOff
 // insertion.
@@ -364,15 +157,9 @@ func Compile(src string) (*Query, error) {
 // CompileWithOptions compiles with explicit analysis switches.
 func CompileWithOptions(src string, opts CompileOptions) (*Query, error) {
 	start := time.Now()
-	plan, err := core.CompileWithOptions(src, analysis.Options{
-		DisableFirstWitness: opts.DisableFirstWitness,
-		CoarseGranularity:   opts.CoarseGranularity,
-	})
+	plan, err := core.CompileWithOptions(src, opts)
 	if err != nil {
 		return nil, err
-	}
-	if opts.StrictStreaming && plan.Stream.Class == analysis.Unbounded {
-		return nil, fmt.Errorf("gcx: strict streaming rejects statically unbounded query: %s", plan.Stream.Reason)
 	}
 	q := &Query{plan: plan}
 	q.shardInfo, q.shardReason = analysis.Shardable(plan)
@@ -424,9 +211,11 @@ func (q *Query) UsesAggregation() bool { return q.plan.UsesAggregation }
 
 // Execute evaluates the query over input, writing the serialized result
 // to output. It returns an error for Options carrying an unknown Engine
-// or SignOffMode value rather than guessing a discipline.
+// or SignOffMode value or a negative Shards count rather than guessing.
+// A node-budget breach (an error wrapping ErrBufferBudget) returns the
+// partial Result of a sequential run alongside the error.
 func (q *Query) Execute(input io.Reader, output io.Writer, opts Options) (*Result, error) {
-	return q.ExecuteContext(context.Background(), input, output, opts)
+	return q.run(context.Background(), core.Input{Reader: input}, output, &opts)
 }
 
 // ExecuteContext evaluates the query over input under a cancellation
@@ -435,33 +224,13 @@ func (q *Query) Execute(input io.Reader, output io.Writer, opts Options) (*Resul
 // token of ctx being cancelled and returns ctx.Err() without writing
 // further output.
 func (q *Query) ExecuteContext(ctx context.Context, input io.Reader, output io.Writer, opts Options) (*Result, error) {
-	execOpts, err := q.execOptions(opts)
-	if err != nil {
-		return nil, err
-	}
-	if shards := q.shardCount(opts); shards > 1 {
-		sres, err := shard.Execute(ctx, q.shardInfo, input, output, shard.Config{
-			Workers: shards,
-			Exec:    execOpts,
-		})
-		if err != nil {
-			return nil, err
-		}
-		return q.shardResult(sres, shards, opts), nil
-	}
-	res, err := core.ExecuteContext(ctx, q.plan, input, output, execOpts)
-	if err != nil && res == nil {
-		return nil, err
-	}
-	// A node-budget breach (err wrapping ErrBufferBudget) still carries
-	// the partial statistics; both are returned.
-	return q.result(res, opts), err
+	return q.run(ctx, core.Input{Reader: input}, output, &opts)
 }
 
 // ExecuteBytes evaluates the query over an in-memory document. See
 // ExecuteBytesContext.
 func (q *Query) ExecuteBytes(data []byte, output io.Writer, opts Options) (*Result, error) {
-	return q.ExecuteBytesContext(context.Background(), data, output, opts)
+	return q.run(context.Background(), core.Input{Bytes: data}, output, &opts)
 }
 
 // ExecuteBytesContext evaluates the query over an in-memory document
@@ -474,139 +243,48 @@ func (q *Query) ExecuteBytes(data []byte, output io.Writer, opts Options) (*Resu
 // the same zero-copy scan and hand workers subslices where the format
 // allows.
 func (q *Query) ExecuteBytesContext(ctx context.Context, data []byte, output io.Writer, opts Options) (*Result, error) {
-	execOpts, err := q.execOptions(opts)
+	return q.run(ctx, core.Input{Bytes: data}, output, &opts)
+}
+
+// ExecuteString is a convenience wrapper evaluating over a string input
+// and returning the output as a string.
+func (q *Query) ExecuteString(input string, opts Options) (string, *Result, error) {
+	return q.ExecuteStringContext(context.Background(), input, opts)
+}
+
+// ExecuteStringContext is ExecuteString under a cancellation context,
+// with the same within-one-token abort guarantee as ExecuteContext. It
+// runs on the zero-copy byte path: strings are immutable, so viewing
+// the input's bytes in place satisfies ExecuteBytesContext's aliasing
+// contract for free. On error the output is empty; a budget breach
+// still returns the partial Result.
+func (q *Query) ExecuteStringContext(ctx context.Context, input string, opts Options) (string, *Result, error) {
+	var out strings.Builder
+	data := unsafe.Slice(unsafe.StringData(input), len(input))
+	res, err := q.run(ctx, core.Input{Bytes: data}, &out, &opts)
 	if err != nil {
-		return nil, err
+		return "", res, err
 	}
-	if shards := q.shardCount(opts); shards > 1 {
-		sres, err := shard.ExecuteBytes(ctx, q.shardInfo, data, output, shard.Config{
-			Workers: shards,
-			Exec:    execOpts,
-		})
-		if err != nil {
-			return nil, err
-		}
-		return q.shardResult(sres, shards, opts), nil
-	}
-	res, err := core.ExecuteBytesContext(ctx, q.plan, data, output, execOpts)
-	if err != nil && res == nil {
-		return nil, err
-	}
-	return q.result(res, opts), err
+	return out.String(), res, nil
 }
 
-// execOptions maps the public Options onto the internal engine options,
-// rejecting unknown enum values.
-func (q *Query) execOptions(opts Options) (core.ExecOptions, error) {
-	execOpts := core.ExecOptions{
-		EnableAggregation: opts.EnableAggregation,
-		DisableSkip:       opts.DisableSubtreeSkip,
-		RecordEvery:       opts.RecordEvery,
-		Format:            opts.Format.core(),
-		MaxBufferedNodes:  opts.MaxBufferedNodes,
-		DisableJoin:       opts.DisableJoin,
-		Trace:             opts.EnableTrace,
-	}
-	switch opts.Engine {
-	case EngineGCX:
-		execOpts.Engine = core.GCX
-	case EngineProjectionOnly:
-		execOpts.Engine = core.ProjectionOnly
-	case EngineDOM:
-		execOpts.Engine = core.DOM
-	default:
-		return execOpts, fmt.Errorf("gcx: unknown engine %d (want EngineGCX, EngineProjectionOnly or EngineDOM)", opts.Engine)
-	}
-	switch opts.SignOffMode {
-	case SignOffDeferred:
-		// engine.Deferred is the zero value.
-	case SignOffEager:
-		execOpts.SignOffMode = engine.Eager
-	default:
-		return execOpts, fmt.Errorf("gcx: unknown sign-off mode %d (want SignOffDeferred or SignOffEager)", opts.SignOffMode)
-	}
-	if opts.Shards < 0 {
-		return execOpts, fmt.Errorf("gcx: negative shard count %d", opts.Shards)
-	}
-	return execOpts, nil
-}
-
-// shardCount resolves how many workers a run should use: 0 for the
-// sequential path (non-shardable query, ineligible format, recording
-// runs or Shards ≤ 1), the clamped worker count otherwise.
-func (q *Query) shardCount(opts Options) int {
+// run is the one execution path behind every Execute method. It
+// decides sequential vs sharded: sharding needs Shards > 1, a
+// partitionable query, no buffer-plot recording and a format the
+// splitters can cut; everything else runs core.Run. Traced runs get
+// the query's compile time as their first phase.
+func (q *Query) run(ctx context.Context, in core.Input, output io.Writer, opts *Options) (*Result, error) {
+	var res *Result
+	var err error
 	if opts.Shards > 1 && q.shardInfo != nil && opts.RecordEvery == 0 && formatShardable(opts.Format, q.shardInfo) {
-		if opts.Shards > MaxShards {
-			return MaxShards
-		}
-		return opts.Shards
+		res, err = shard.Run(ctx, q.shardInfo, in, output, opts)
+	} else {
+		res, err = core.Run(ctx, q.plan, in, output, opts)
 	}
-	return 0
-}
-
-// result converts a sequential run's internal result to the public one.
-func (q *Query) result(res *core.ExecResult, opts Options) *Result {
-	out := &Result{
-		TokensProcessed:    res.TokensProcessed,
-		PeakBufferedNodes:  res.PeakBufferedNodes,
-		PeakBufferedBytes:  res.PeakBufferedBytes,
-		FinalBufferedNodes: res.FinalBufferedNodes,
-		TotalAppended:      res.TotalAppended,
-		TotalPurged:        res.TotalPurged,
-		OutputBytes:        res.OutputBytes,
-		BytesSkipped:       res.BytesSkipped,
-		TagsSkipped:        res.TagsSkipped,
-		SubtreesSkipped:    res.SubtreesSkipped,
-		JoinProbeTuples:    res.JoinProbeTuples,
-		JoinBuildTuples:    res.JoinBuildTuples,
-		JoinMatches:        res.JoinMatches,
-		Duration:           res.Duration,
-		ShardsUsed:         1,
-		Trace:              q.trace(opts, res.Phases),
+	if res != nil && opts.EnableTrace {
+		res.Trace = append([]TracePhase{{Phase: obs.PhaseCompile.String(), Nanos: q.compileNanos}}, res.Trace...)
 	}
-	for _, p := range res.Series {
-		out.Series = append(out.Series, SeriesPoint{Token: p.Token, Nodes: p.Nodes, Bytes: p.Bytes})
-	}
-	return out
-}
-
-// shardResult converts a sharded run's internal result to the public
-// one.
-func (q *Query) shardResult(sres *shard.Result, shards int, opts Options) *Result {
-	return &Result{
-		TokensProcessed:    sres.TokensProcessed,
-		PeakBufferedNodes:  sres.PeakBufferedNodes,
-		PeakBufferedBytes:  sres.PeakBufferedBytes,
-		FinalBufferedNodes: sres.FinalBufferedNodes,
-		TotalAppended:      sres.TotalAppended,
-		TotalPurged:        sres.TotalPurged,
-		OutputBytes:        sres.OutputBytes,
-		BytesSkipped:       sres.BytesSkipped,
-		TagsSkipped:        sres.TagsSkipped,
-		SubtreesSkipped:    sres.SubtreesSkipped,
-		JoinProbeTuples:    sres.JoinProbeTuples,
-		JoinBuildTuples:    sres.JoinBuildTuples,
-		JoinMatches:        sres.JoinMatches,
-		Duration:           sres.Duration,
-		ShardsUsed:         shards,
-		Chunks:             sres.Chunks,
-		Trace:              q.trace(opts, sres.Phases),
-	}
-}
-
-// trace converts a run's internal phase times into the public Result
-// form, prefixed with the query's compile time; nil unless tracing was
-// requested.
-func (q *Query) trace(opts Options, phases []obs.PhaseTime) []TracePhase {
-	if !opts.EnableTrace {
-		return nil
-	}
-	out := make([]TracePhase, 0, len(phases)+1)
-	out = append(out, TracePhase{Phase: obs.PhaseCompile.String(), Nanos: q.compileNanos})
-	for _, p := range phases {
-		out = append(out, TracePhase{Phase: p.Phase, Nanos: p.Nanos})
-	}
-	return out
+	return res, err
 }
 
 // formatShardable reports whether sharded execution is available for
@@ -624,25 +302,4 @@ func formatShardable(f Format, info *analysis.ShardInfo) bool {
 	default:
 		return true
 	}
-}
-
-// ExecuteString is a convenience wrapper evaluating over a string input
-// and returning the output as a string.
-func (q *Query) ExecuteString(input string, opts Options) (string, *Result, error) {
-	return q.ExecuteStringContext(context.Background(), input, opts)
-}
-
-// ExecuteStringContext is ExecuteString under a cancellation context,
-// with the same within-one-token abort guarantee as ExecuteContext. It
-// runs on the zero-copy byte path: strings are immutable, so viewing
-// the input's bytes in place satisfies ExecuteBytesContext's aliasing
-// contract for free.
-func (q *Query) ExecuteStringContext(ctx context.Context, input string, opts Options) (string, *Result, error) {
-	var out strings.Builder
-	data := unsafe.Slice(unsafe.StringData(input), len(input))
-	res, err := q.ExecuteBytesContext(ctx, data, &out, opts)
-	if err != nil {
-		return "", nil, err
-	}
-	return out.String(), res, nil
 }

@@ -123,8 +123,8 @@ func (p *Plan) RolePaths() []xpath.Path {
 	return paths
 }
 
-// Options tunes the static analysis (ablation switches; the defaults
-// reproduce the paper).
+// Options tunes the static analysis (ablation switches; the zero value
+// reproduces the paper). The public gcx.CompileOptions is an alias.
 type Options struct {
 	// DisableFirstWitness drops the [1] predicate from existence-
 	// condition projection paths (the paper's r4 optimization), so
@@ -139,6 +139,14 @@ type Options struct {
 	// node-granular roles are the default; this switch quantifies what
 	// the finer granularity buys (ablation A5).
 	CoarseGranularity bool
+	// StrictStreaming rejects queries the analyzer classifies as
+	// Unbounded (joins, whole-input aggregation, absolute-path outputs
+	// — DESIGN.md §9) at compile time, with the analyzer's reason. Use
+	// it where a runtime node budget will be enforced: an Unbounded
+	// query would only ever trip the budget on real inputs, so strict
+	// mode fails fast instead. The analysis itself ignores the switch;
+	// core.CompileWithOptions enforces it on the finished plan.
+	StrictStreaming bool
 }
 
 // Analyze compiles a parsed query with the paper's default analysis:

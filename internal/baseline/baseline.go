@@ -75,20 +75,6 @@ func RunDOMSource(ctx context.Context, plan *analysis.Plan, src event.Source, ou
 	return res, nil
 }
 
-// RunProjectionOnly evaluates with static projection but no dynamic
-// buffer minimization (sign-offs become no-ops for memory purposes).
-func RunProjectionOnly(plan *analysis.Plan, input io.Reader, output io.Writer, enableAggregation bool) (*engine.Result, error) {
-	src := xmltok.NewTokenizer(input)
-	sink := xmltok.NewSerializer(output)
-	e := engine.New(plan, src, sink, engine.Config{
-		DisableGC:         true,
-		EnableAggregation: enableAggregation,
-	})
-	res, err := e.Run()
-	e.Release()
-	return res, err
-}
-
 // domEval is the recursive DOM evaluator; it mirrors the GCX engine's
 // semantics without any streaming machinery.
 type domEval struct {

@@ -131,12 +131,6 @@ func (b *Buffer) BudgetErr() error {
 		ErrBudget, b.CurrentNodes, b.MaxNodes, b.PeakNodes)
 }
 
-// AssignedTotal returns the number of instances of role assigned so far.
-func (b *Buffer) AssignedTotal(role int) int64 { return b.assigned[role] }
-
-// RemovedTotal returns the number of instances of role removed so far.
-func (b *Buffer) RemovedTotal(role int) int64 { return b.removed[role] }
-
 // addWeight adjusts the subtreeWeight chain from n to the root.
 func addWeight(n *Node, delta int64) {
 	for p := n; p != nil; p = p.Parent {

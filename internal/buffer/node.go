@@ -108,15 +108,6 @@ func (n *Node) Roles() []int {
 	return ids
 }
 
-// SubtreeWeight exposes the subtree role+pin total (for tests).
-func (n *Node) SubtreeWeight() int64 { return n.subtreeWeight }
-
-// SubtreeNodes exposes the buffered-node count of the subtree.
-func (n *Node) SubtreeNodes() int64 { return n.subtreeNodes }
-
-// Pins exposes the pin count (for tests).
-func (n *Node) Pins() int { return n.pins }
-
 // InBuffer reports whether the node is still linked into the buffer.
 func (n *Node) InBuffer() bool {
 	for p := n; p != nil; p = p.Parent {

@@ -1,8 +1,11 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
+
+	"gcx/internal/engine"
 )
 
 const doc = `<bib><book><title>A</title></book><book><title>B</title></book></bib>`
@@ -36,9 +39,9 @@ func TestExecuteAllEngines(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := `<out><title>A</title><title>B</title></out>`
-	for _, kind := range []EngineKind{GCX, ProjectionOnly, DOM} {
+	for _, kind := range []Engine{EngineGCX, EngineProjectionOnly, EngineDOM} {
 		var out strings.Builder
-		res, err := Execute(plan, strings.NewReader(doc), &out, ExecOptions{Engine: kind})
+		res, err := Run(context.Background(), plan, Input{Reader: strings.NewReader(doc)}, &out, &Options{Engine: kind})
 		if err != nil {
 			t.Fatalf("%s: %v", kind, err)
 		}
@@ -60,7 +63,7 @@ func TestExecuteRecordsSeries(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out strings.Builder
-	res, err := Execute(plan, strings.NewReader(doc), &out, ExecOptions{RecordEvery: 1})
+	res, err := Run(context.Background(), plan, Input{Reader: strings.NewReader(doc)}, &out, &Options{RecordEvery: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +71,7 @@ func TestExecuteRecordsSeries(t *testing.T) {
 		t.Fatal("series not recorded")
 	}
 	// recording is a streaming-engine feature; DOM ignores it
-	res, err = Execute(plan, strings.NewReader(doc), &out, ExecOptions{Engine: DOM, RecordEvery: 1})
+	res, err = Run(context.Background(), plan, Input{Bytes: []byte(doc)}, &out, &Options{Engine: EngineDOM, RecordEvery: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,23 +81,38 @@ func TestExecuteRecordsSeries(t *testing.T) {
 }
 
 func TestParseEngineKind(t *testing.T) {
-	cases := map[string]EngineKind{
-		"gcx": GCX, "projection": ProjectionOnly, "proj": ProjectionOnly,
-		"nogc": ProjectionOnly, "dom": DOM, "naive": DOM,
+	cases := map[string]Engine{
+		"": EngineGCX, "gcx": EngineGCX, "projection": EngineProjectionOnly, "proj": EngineProjectionOnly,
+		"nogc": EngineProjectionOnly, "dom": EngineDOM, "naive": EngineDOM,
 	}
 	for s, want := range cases {
-		got, err := ParseEngineKind(s)
+		got, err := ParseEngine(s)
 		if err != nil || got != want {
-			t.Errorf("ParseEngineKind(%q) = %v, %v", s, got, err)
+			t.Errorf("ParseEngine(%q) = %v, %v", s, got, err)
+		}
+		// The canonical name round-trips.
+		if back, err := ParseEngine(got.String()); err != nil || back != got {
+			t.Errorf("ParseEngine(%q) = %v, %v", got.String(), back, err)
 		}
 	}
-	if _, err := ParseEngineKind("bogus"); err == nil {
+	if _, err := ParseEngine("bogus"); err == nil {
 		t.Fatal("bogus engine accepted")
 	}
 }
 
+func TestParseSignOffMode(t *testing.T) {
+	for s, want := range map[string]engine.SignOffMode{"": engine.Deferred, "deferred": engine.Deferred, "eager": engine.Eager} {
+		if got, err := ParseSignOffMode(s); err != nil || got != want {
+			t.Errorf("ParseSignOffMode(%q) = %v, %v", s, got, err)
+		}
+	}
+	if _, err := ParseSignOffMode("lazy"); err == nil {
+		t.Fatal("bogus sign-off mode accepted")
+	}
+}
+
 func TestEngineKindString(t *testing.T) {
-	for kind, want := range map[EngineKind]string{GCX: "gcx", ProjectionOnly: "projection", DOM: "dom"} {
+	for kind, want := range map[Engine]string{EngineGCX: "gcx", EngineProjectionOnly: "projection", EngineDOM: "dom"} {
 		if kind.String() != want {
 			t.Errorf("%d.String() = %q", kind, kind.String())
 		}

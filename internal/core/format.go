@@ -16,23 +16,28 @@ import (
 	"gcx/internal/xmltok"
 )
 
-// Format selects the input syntax (and with it the output syntax: XML
-// input serializes results as XML, JSON/NDJSON input as JSON lines).
+// Format selects the input syntax — and with it the output syntax: XML
+// input serializes results as XML, JSON/NDJSON input as JSON lines. The
+// engine itself is format-neutral; the format only picks which front
+// end feeds it events.
 type Format uint8
 
 const (
-	// FormatAuto sniffs the format from the first non-whitespace input
-	// byte: '<' means XML, anything else JSON. Auto never resolves to
-	// NDJSON — line-framing (and with it NDJSON sharding) is an
-	// explicit promise the caller must make.
+	// FormatAuto sniffs the stream's first non-whitespace byte: '<'
+	// means XML, anything else JSON. Auto never resolves to NDJSON —
+	// line framing (and with it NDJSON sharding) is an explicit promise
+	// the caller must make via FormatNDJSON.
 	FormatAuto Format = iota
 	// FormatXML is the paper's XML front end.
 	FormatXML
-	// FormatJSON is a stream of whitespace-separated JSON values
-	// (a single document, or concatenated/pretty-printed values).
+	// FormatJSON is a stream of whitespace-separated JSON values: a
+	// single document, or concatenated/pretty-printed values. Object
+	// keys become element names, arrays repeated siblings, so the
+	// query's paths apply unchanged under the virtual /root/record
+	// document shape.
 	FormatJSON
-	// FormatNDJSON is newline-delimited JSON: exactly one record per
-	// line, which is what record-aligned stream sharding cuts at.
+	// FormatNDJSON is newline-delimited JSON — exactly one record per
+	// line, the boundary record-aligned stream sharding cuts at.
 	FormatNDJSON
 )
 

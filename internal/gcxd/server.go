@@ -237,23 +237,12 @@ func (s *Server) observeJoin(res *gcx.Result) {
 // optionsFromRequest maps URL parameters to execution options.
 func optionsFromRequest(r *http.Request) (gcx.Options, error) {
 	var opts gcx.Options
-	switch eng := r.URL.Query().Get("engine"); eng {
-	case "", "gcx":
-		opts.Engine = gcx.EngineGCX
-	case "projection":
-		opts.Engine = gcx.EngineProjectionOnly
-	case "dom":
-		opts.Engine = gcx.EngineDOM
-	default:
-		return opts, fmt.Errorf("unknown engine %q (want gcx, projection or dom)", eng)
+	var err error
+	if opts.Engine, err = gcx.ParseEngine(r.URL.Query().Get("engine")); err != nil {
+		return opts, err
 	}
-	switch so := r.URL.Query().Get("signoff"); so {
-	case "", "deferred":
-		opts.SignOffMode = gcx.SignOffDeferred
-	case "eager":
-		opts.SignOffMode = gcx.SignOffEager
-	default:
-		return opts, fmt.Errorf("unknown signoff mode %q (want deferred or eager)", so)
+	if opts.SignOffMode, err = gcx.ParseSignOffMode(r.URL.Query().Get("signoff")); err != nil {
+		return opts, err
 	}
 	if agg := r.URL.Query().Get("agg"); agg == "1" || agg == "true" {
 		opts.EnableAggregation = true
@@ -281,18 +270,6 @@ func optionsFromRequest(r *http.Request) (gcx.Options, error) {
 		opts.EnableTrace = true
 	}
 	return opts, nil
-}
-
-// engineName maps options back to the label value request metrics use.
-func engineName(e gcx.Engine) string {
-	switch e {
-	case gcx.EngineProjectionOnly:
-		return "projection"
-	case gcx.EngineDOM:
-		return "dom"
-	default:
-		return "gcx"
-	}
 }
 
 // contentType maps the request's input format to the response body's
@@ -370,7 +347,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	cw := &countingWriter{w: w}
 	defer func() {
 		d := time.Since(start)
-		eng, format := engineName(opts.Engine), opts.Format.String()
+		eng, format := opts.Engine.String(), opts.Format.String()
 		s.latency.With(eng, format, outcome, inputPath).Observe(d.Seconds())
 		s.respSize.With(eng, format, outcome, inputPath).Observe(float64(cw.n))
 		attrs := []any{
@@ -427,6 +404,14 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		inputPath = "bytes"
 		res, err = q.ExecuteBytesContext(r.Context(), body, cw, opts)
 	} else {
+		// The engine reads the body while the response streams out. An
+		// HTTP/1 handler that is not full-duplex loses the unread body
+		// once the response header flushes: net/http discards and closes
+		// it if less than 256 KiB remain, under a sharded run's splitter.
+		// HTTP/2 is full-duplex already. The only error is
+		// ErrNotSupported, from a wrapping writer that hides the mode;
+		// the run then streams as before.
+		_ = http.NewResponseController(w).EnableFullDuplex()
 		res, err = q.ExecuteContext(r.Context(), r.Body, cw, opts)
 	}
 	s.bytesOut.Add(cw.n)

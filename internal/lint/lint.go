@@ -16,6 +16,12 @@
 //     ReadByte/UnreadByte — all input flows through the block cursor's
 //     window-oriented API, keeping the hot loops vectorized
 //     (DESIGN.md §12).
+//   - unusedexport: every exported declaration of an internal package
+//     is referenced somewhere in the module (tests, commands, examples
+//     and perfbench included) — code with no caller goes. It is a name
+//     scan: any identifier of the same name counts, and methods the
+//     standard library calls through its interfaces (ServeHTTP,
+//     String, …) count as used.
 //
 // The framework is deliberately stdlib-only (go/parser + go/ast): the
 // build environment has no module proxy, so golang.org/x/tools is out
@@ -67,7 +73,7 @@ type Analyzer struct {
 }
 
 // All is the registry of passes, in reporting order.
-var All = []*Analyzer{EventBoundary, CtxPoll, ObsNames, HotBytes}
+var All = []*Analyzer{EventBoundary, CtxPoll, ObsNames, HotBytes, UnusedExport}
 
 // Lookup resolves a pass by name.
 func Lookup(name string) *Analyzer {

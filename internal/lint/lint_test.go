@@ -171,6 +171,45 @@ func TestHotBytesNotVacuous(t *testing.T) {
 	}
 }
 
+// TestUnusedExportFixture: the seeded dead func, method and const
+// fire; the func named only by a test, the method kept alive by a
+// selector, the const read in its own file, the fmt.Stringer method
+// and the test file's own export do not.
+func TestUnusedExportFixture(t *testing.T) {
+	findings, err := Run("testdata/unusedexport", []*Analyzer{UnusedExport})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := map[string]bool{}
+	for _, f := range findings {
+		if !strings.Contains(f.Pos.Filename, "dead/dead.go") {
+			t.Errorf("finding outside dead/dead.go: %v", f)
+		}
+		got[strings.Fields(f.Message)[1]] = true
+	}
+	if len(findings) != 3 || !got["Dead"] || !got["Gone"] || !got["Unused"] {
+		t.Fatalf("findings = %v, want exactly Dead, Gone and Unused", findings)
+	}
+}
+
+// TestUnusedExportNotVacuous: the pass sees the real internal packages'
+// exported declarations — otherwise a clean repo run proves nothing.
+func TestUnusedExportNotVacuous(t *testing.T) {
+	files, err := Load("../..")
+	if err != nil {
+		t.Fatal(err)
+	}
+	checked := 0
+	for _, f := range files {
+		if !f.Test && strings.HasPrefix(f.PkgPath, "gcx/internal/") {
+			checked += len(exportedDecls(f))
+		}
+	}
+	if checked < 300 {
+		t.Fatalf("unusedexport checked %d exported declarations, want >= 300; the scope has gone vacuous", checked)
+	}
+}
+
 // TestRepoClean: the real repository satisfies every pass — the
 // invariant `make check` and CI enforce.
 func TestRepoClean(t *testing.T) {
@@ -235,7 +274,7 @@ func TestLoadPkgPaths(t *testing.T) {
 }
 
 func TestLookup(t *testing.T) {
-	if Lookup("eventboundary") != EventBoundary || Lookup("ctxpoll") != CtxPoll || Lookup("obsnames") != ObsNames || Lookup("hotbytes") != HotBytes {
+	if Lookup("eventboundary") != EventBoundary || Lookup("ctxpoll") != CtxPoll || Lookup("obsnames") != ObsNames || Lookup("hotbytes") != HotBytes || Lookup("unusedexport") != UnusedExport {
 		t.Error("Lookup does not resolve registered passes")
 	}
 	if Lookup("nope") != nil {

@@ -31,36 +31,6 @@ import (
 // goroutines. 64 comfortably exceeds any machine this targets.
 const MaxWorkers = 64
 
-// Config tunes a sharded execution.
-type Config struct {
-	// Workers is the number of parallel engine instances (≥ 2; callers
-	// route 0/1 to the sequential path; clamped to MaxWorkers).
-	Workers int
-	// ChunkTargetBytes is the splitter's chunk size target (0 uses the
-	// splitter default). Smaller chunks balance better, larger chunks
-	// amortize per-engine setup.
-	ChunkTargetBytes int
-	// Exec are the per-worker engine options. RecordEvery is ignored:
-	// buffer-plot recording is a sequential-run feature.
-	Exec core.ExecOptions
-}
-
-// Result aggregates the per-worker engine results.
-//
-// Stats semantics under sharding (DESIGN.md §6): counters
-// (TokensProcessed, TotalAppended, TotalPurged, OutputBytes) are sums
-// over the workers; the buffer watermarks PeakBufferedNodes and
-// PeakBufferedBytes are the sum of the per-worker peaks — an upper
-// bound on the true simultaneous peak, since workers run staggered.
-// TokensProcessed counts chunk-document tokens, which differ slightly
-// from the sequential token count (synthesized wrapper tags; skipped
-// non-record content).
-type Result struct {
-	core.ExecResult
-	// Chunks is the number of chunks the input was cut into.
-	Chunks int
-}
-
 // task is one chunk travelling through the pool: the producer enqueues
 // it to the workers and, in input order, to the merger; the worker
 // posts its output on done (capacity 1, so workers never block on a
@@ -76,7 +46,7 @@ type task struct {
 
 type taskResult struct {
 	out *bytes.Buffer
-	res *core.ExecResult
+	res *core.Result
 	err error
 }
 
@@ -117,34 +87,39 @@ func joinFragment(info *analysis.ShardInfo, aux []byte) []byte {
 	return b.Bytes()
 }
 
-// Execute runs a sharded evaluation of info over input, writing the
-// merged output to output. The reorder window is bounded: at most
-// 2×Workers chunks are in flight between splitter and merge, so memory
-// stays proportional to Workers × chunk size regardless of input size.
-func Execute(ctx context.Context, info *analysis.ShardInfo, input io.Reader, output io.Writer, cfg Config) (*Result, error) {
-	return run(ctx, info, input, nil, output, cfg)
+// Run evaluates info's plan sharded over in, writing the merged output
+// to output. It runs min(opts.Shards, MaxWorkers) workers (at least
+// two; callers route 0/1 to core.Run), each calling core.Run on one
+// chunk with opts minus RecordEvery — buffer-plot recording is a
+// sequential-run feature. On the byte path the splitter scans
+// in.Bytes in place (NDJSON chunks alias it — zero copies on the split
+// side). The reorder window is bounded: at most 2×workers chunks are
+// in flight between splitter and merge, so memory stays proportional
+// to workers × chunk size regardless of input size.
+//
+// Stats semantics under sharding (DESIGN.md §6): counters
+// (TokensProcessed, TotalAppended, TotalPurged, OutputBytes, the skip
+// and join counters) are sums over the workers; the buffer watermarks
+// PeakBufferedNodes and PeakBufferedBytes are the sum of the per-worker
+// peaks — an upper bound on the true simultaneous peak, since workers
+// run staggered. TokensProcessed counts chunk-document tokens, which
+// differ slightly from the sequential token count (synthesized wrapper
+// tags; skipped non-record content). Any worker error, a budget breach
+// included, fails the whole run with a nil Result.
+func Run(ctx context.Context, info *analysis.ShardInfo, in core.Input, output io.Writer, opts *core.Options) (*core.Result, error) {
+	return run(ctx, info, in, output, opts, 0)
 }
 
-// ExecuteBytes is Execute over an in-memory document: the splitter
-// scans data in place (NDJSON chunks alias it — zero copies on the
-// split side), and workers take the zero-copy engine path. The caller
-// must not mutate data until the call returns.
-func ExecuteBytes(ctx context.Context, info *analysis.ShardInfo, data []byte, output io.Writer, cfg Config) (*Result, error) {
-	return run(ctx, info, nil, data, output, cfg)
-}
-
-// run is the shared sharded-execution body; input is nil on the []byte
-// path.
-func run(ctx context.Context, info *analysis.ShardInfo, input io.Reader, data []byte, output io.Writer, cfg Config) (*Result, error) {
+// run is Run with an explicit splitter chunk size target (0 uses the
+// splitter default); the tests shrink it to force many chunks.
+func run(ctx context.Context, info *analysis.ShardInfo, in core.Input, output io.Writer, opts *core.Options, chunkTarget int) (*core.Result, error) {
 	start := time.Now()
-	workers := cfg.Workers
-	if workers < 2 {
-		workers = 2
+	if err := opts.Validate(); err != nil {
+		return nil, err
 	}
-	if workers > MaxWorkers {
-		workers = MaxWorkers
-	}
-	cfg.Exec.RecordEvery = 0
+	workers := min(max(opts.Shards, 2), MaxWorkers)
+	wopts := *opts
+	wopts.RecordEvery = 0
 
 	// st collects the shard-level trace phases (DESIGN.md §11): the
 	// synchronous chunk scan of a join-sharded run (PhaseSplit; the
@@ -163,18 +138,18 @@ func run(ctx context.Context, info *analysis.ShardInfo, input io.Reader, data []
 	// self-contained chunk documents the workers evaluate independently.
 	var nextChunk func() ([]byte, error)
 	var extra []byte
-	if cfg.Exec.Format == core.FormatNDJSON {
+	if opts.Format == core.FormatNDJSON {
 		if info.Join {
 			return nil, errShardJoinNDJSON
 		}
 		var sp *jsontok.Splitter
-		if input == nil {
-			sp = jsontok.NewSplitterBytes(data)
+		if in.Reader == nil {
+			sp = jsontok.NewSplitterBytes(in.Bytes)
 		} else {
-			sp = jsontok.NewSplitter(input)
+			sp = jsontok.NewSplitter(in.Reader)
 		}
 		sp.SetContext(cctx)
-		sp.SetTargetBytes(cfg.ChunkTargetBytes)
+		sp.SetTargetBytes(chunkTarget)
 		nextChunk = func() ([]byte, error) {
 			c, err := sp.Next()
 			return c.Data, err
@@ -185,13 +160,13 @@ func run(ctx context.Context, info *analysis.ShardInfo, input io.Reader, data []
 			steps[i] = xmltok.SplitStep{Name: st.Test.Name, Wildcard: st.Test.Kind == xpath.TestWildcard}
 		}
 		var sp *xmltok.Splitter
-		if input == nil {
-			sp = xmltok.NewSplitterBytes(data, steps)
+		if in.Reader == nil {
+			sp = xmltok.NewSplitterBytes(in.Bytes, steps)
 		} else {
-			sp = xmltok.NewSplitter(input, steps)
+			sp = xmltok.NewSplitter(in.Reader, steps)
 		}
 		sp.SetContext(cctx)
-		sp.SetTargetBytes(cfg.ChunkTargetBytes)
+		sp.SetTargetBytes(chunkTarget)
 		nextChunk = func() ([]byte, error) {
 			c, err := sp.Next()
 			return c.Data, err
@@ -227,7 +202,7 @@ func run(ctx context.Context, info *analysis.ShardInfo, input io.Reader, data []
 				chunks = append(chunks, data)
 			}
 			extra = joinFragment(info, sp.AuxData())
-			if cfg.Exec.Trace {
+			if opts.EnableTrace {
 				st.Add(obs.PhaseSplit, time.Since(splitStart))
 			}
 			i := 0
@@ -284,17 +259,14 @@ func run(ctx context.Context, info *analysis.ShardInfo, input io.Reader, data []
 			for t := range work {
 				buf := outBufPool.Get().(*bytes.Buffer)
 				buf.Reset()
-				var res *core.ExecResult
-				var err error
-				if t.extra == nil {
-					// Chunk bytes are immutable once handed out (fresh
-					// buffers from the reader splitters, input subslices
-					// from the bytes splitters): take the zero-copy path.
-					res, err = core.ExecuteBytesContext(cctx, info.Inner, t.data, buf, cfg.Exec)
-				} else {
-					rd := io.MultiReader(bytes.NewReader(t.data), bytes.NewReader(t.extra))
-					res, err = core.ExecuteContext(cctx, info.Inner, rd, buf, cfg.Exec)
+				// Chunk bytes are immutable once handed out (fresh buffers
+				// from the reader splitters, input subslices from the
+				// bytes splitters): take the zero-copy path.
+				chunk := core.Input{Bytes: t.data}
+				if t.extra != nil {
+					chunk = core.Input{Reader: io.MultiReader(bytes.NewReader(t.data), bytes.NewReader(t.extra))}
 				}
+				res, err := core.Run(cctx, info.Inner, chunk, buf, &wopts)
 				t.done <- taskResult{out: buf, res: res, err: err}
 			}
 		}()
@@ -305,11 +277,11 @@ func run(ctx context.Context, info *analysis.ShardInfo, input io.Reader, data []
 	// ready. The constant wrapper prefix is withheld until there is
 	// something to write, mirroring the sequential engine's buffered
 	// serializer, which emits nothing when a run fails early.
-	agg := &Result{}
+	agg := &core.Result{ShardsUsed: workers}
 	var firstErr error
 	wrotePrefix := false
 	writeOut := func(p []byte) error {
-		if cfg.Exec.Trace {
+		if opts.EnableTrace {
 			ws := time.Now()
 			defer func() { st.Add(obs.PhaseMerge, time.Since(ws)) }()
 		}
@@ -346,8 +318,8 @@ func run(ctx context.Context, info *analysis.ShardInfo, input io.Reader, data []
 				agg.JoinProbeTuples += r.res.JoinProbeTuples
 				agg.JoinBuildTuples += r.res.JoinBuildTuples
 				agg.JoinMatches += r.res.JoinMatches
-				if cfg.Exec.Trace {
-					agg.Phases = obs.SumPhases(agg.Phases, r.res.Phases)
+				if opts.EnableTrace {
+					agg.Trace = obs.SumPhases(agg.Trace, r.res.Trace)
 				}
 				agg.Chunks++
 			}
@@ -369,8 +341,8 @@ func run(ctx context.Context, info *analysis.ShardInfo, input io.Reader, data []
 		return nil, err
 	}
 	agg.OutputBytes += int64(len(info.Prefix) + len(info.Suffix))
-	if cfg.Exec.Trace {
-		agg.Phases = obs.SumPhases(agg.Phases, st.Phases())
+	if opts.EnableTrace {
+		agg.Trace = obs.SumPhases(agg.Trace, st.Phases())
 	}
 	agg.Duration = time.Since(start)
 	return agg, nil

@@ -23,14 +23,16 @@ func compileShardable(t *testing.T, src string) (*analysis.Plan, *analysis.Shard
 	return plan, info
 }
 
-func sequential(t *testing.T, plan *analysis.Plan, doc string, opts core.ExecOptions) string {
+func sequential(t *testing.T, plan *analysis.Plan, doc string, opts core.Options) string {
 	t.Helper()
 	var out strings.Builder
-	if _, err := core.Execute(plan, strings.NewReader(doc), &out, opts); err != nil {
+	if _, err := core.Run(context.Background(), plan, reader(doc), &out, &opts); err != nil {
 		t.Fatal(err)
 	}
 	return out.String()
 }
+
+func reader(doc string) core.Input { return core.Input{Reader: strings.NewReader(doc)} }
 
 // TestByteIdentity is the acceptance property: sharded output equals
 // sequential output byte for byte, across queries, worker counts and
@@ -51,12 +53,12 @@ func TestByteIdentity(t *testing.T) {
 	}
 	for name, src := range queries {
 		plan, info := compileShardable(t, src)
-		want := sequential(t, plan, doc, core.ExecOptions{})
+		want := sequential(t, plan, doc, core.Options{})
 		for _, workers := range []int{2, 4, 8} {
 			for _, chunk := range []int{0, 4 << 10, 1} {
 				var out strings.Builder
-				res, err := Execute(context.Background(), info, strings.NewReader(doc), &out,
-					Config{Workers: workers, ChunkTargetBytes: chunk})
+				res, err := run(context.Background(), info, reader(doc), &out,
+					&core.Options{Shards: workers}, chunk)
 				if err != nil {
 					t.Fatalf("%s workers=%d chunk=%d: %v", name, workers, chunk, err)
 				}
@@ -83,12 +85,11 @@ func TestByteIdentityAcrossEngines(t *testing.T) {
 		t.Fatal(err)
 	}
 	plan, info := compileShardable(t, xmark.Queries["Q1"].Text)
-	for _, eng := range []core.EngineKind{core.GCX, core.ProjectionOnly, core.DOM} {
-		opts := core.ExecOptions{Engine: eng}
-		want := sequential(t, plan, doc, opts)
+	for _, eng := range []core.Engine{core.EngineGCX, core.EngineProjectionOnly, core.EngineDOM} {
+		want := sequential(t, plan, doc, core.Options{Engine: eng})
 		var out strings.Builder
-		if _, err := Execute(context.Background(), info, strings.NewReader(doc), &out,
-			Config{Workers: 4, ChunkTargetBytes: 4 << 10, Exec: opts}); err != nil {
+		if _, err := run(context.Background(), info, reader(doc), &out,
+			&core.Options{Engine: eng, Shards: 4}, 4<<10); err != nil {
 			t.Fatalf("engine %v: %v", eng, err)
 		}
 		if out.String() != want {
@@ -101,7 +102,7 @@ func TestEmptyAndRecordlessInputs(t *testing.T) {
 	_, info := compileShardable(t, `<out>{ for $p in /site/people/person return $p/name }</out>`)
 	for _, doc := range []string{``, `<site><regions/></site>`, `<other/>`} {
 		var out strings.Builder
-		res, err := Execute(context.Background(), info, strings.NewReader(doc), &out, Config{Workers: 4})
+		res, err := Run(context.Background(), info, reader(doc), &out, &core.Options{Shards: 4})
 		if err != nil {
 			t.Fatalf("doc %q: %v", doc, err)
 		}
@@ -125,13 +126,12 @@ func TestStatsAggregation(t *testing.T) {
 	// covers the full document (the skipping engine fast-forwards
 	// irrelevant sections and counts fewer tokens than the splitter
 	// leaves in the chunks).
-	sres, err := core.Execute(plan, strings.NewReader(doc), &seq, core.ExecOptions{DisableSkip: true})
+	sres, err := core.Run(context.Background(), plan, reader(doc), &seq, &core.Options{DisableSubtreeSkip: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var out strings.Builder
-	res, err := Execute(context.Background(), info, strings.NewReader(doc), &out,
-		Config{Workers: 4, ChunkTargetBytes: 8 << 10})
+	res, err := run(context.Background(), info, reader(doc), &out, &core.Options{Shards: 4}, 8<<10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestMalformedInputFails(t *testing.T) {
 	_, info := compileShardable(t, `<out>{ for $p in /site/people/person return $p/name }</out>`)
 	doc := `<site><people><person><name>A</name></wrong></people></site>`
 	var out strings.Builder
-	if _, err := Execute(context.Background(), info, strings.NewReader(doc), &out, Config{Workers: 2}); err == nil {
+	if _, err := Run(context.Background(), info, reader(doc), &out, &core.Options{Shards: 2}); err == nil {
 		t.Fatal("malformed input did not fail")
 	}
 }
@@ -171,7 +171,7 @@ func TestWorkerErrorPropagates(t *testing.T) {
 	// through raw, the worker's tokenizer rejects it.
 	doc := `<site><people><person><name malformed=1>A</name></person></people></site>`
 	var out strings.Builder
-	if _, err := Execute(context.Background(), info, strings.NewReader(doc), &out, Config{Workers: 2}); err == nil {
+	if _, err := Run(context.Background(), info, reader(doc), &out, &core.Options{Shards: 2}); err == nil {
 		t.Fatal("worker tokenizer error did not propagate")
 	}
 }
@@ -185,8 +185,7 @@ func TestCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var out strings.Builder
-	if _, err := Execute(ctx, info, strings.NewReader(doc), &out,
-		Config{Workers: 4, ChunkTargetBytes: 1 << 10}); err != context.Canceled {
+	if _, err := run(ctx, info, reader(doc), &out, &core.Options{Shards: 4}, 1<<10); err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }

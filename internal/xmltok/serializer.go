@@ -2,7 +2,6 @@ package xmltok
 
 import (
 	"bufio"
-	"fmt"
 	"io"
 	"strings"
 	"sync"
@@ -163,16 +162,5 @@ func EscapeText(text string) string {
 			b.WriteByte(text[i])
 		}
 	}
-	return b.String()
-}
-
-// FormatStartTag renders a start tag as a string, for diagnostics.
-func FormatStartTag(name string, attrs []Attr) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "<%s", name)
-	for _, a := range attrs {
-		fmt.Fprintf(&b, " %s=%q", a.Name, a.Value)
-	}
-	b.WriteString(">")
 	return b.String()
 }

@@ -80,3 +80,4 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzCursor -fuzztime 10s ./internal/cursor
 	$(GO) test -run xxx -fuzz FuzzBytesReaderParity -fuzztime 10s ./internal/xmltok
 	$(GO) test -run xxx -fuzz FuzzJSONBytesReaderParity -fuzztime 10s ./internal/jsontok
+	$(GO) test -run xxx -fuzz FuzzBufferMatches -fuzztime 10s ./internal/buffer

@@ -68,7 +68,7 @@ func BenchmarkMatches(b *testing.B) {
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if got := len(Matches(sec, path)); got != 1000 {
+		if got := len(buf.Matches(sec, path)); got != 1000 {
 			b.Fatalf("got %d", got)
 		}
 	}

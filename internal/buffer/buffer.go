@@ -36,9 +36,18 @@ type Buffer struct {
 	// TotalPurged counts every node ever purged.
 	TotalPurged int64
 
-	// assigned/removed count role instances for the balance invariant.
-	assigned map[int]int64
-	removed  map[int]int64
+	// assigned/removed count role instances for the balance invariant,
+	// indexed by role id and grown on demand (role ids are dense, so the
+	// slices stay as short as the query's role list).
+	assigned []int64
+	removed  []int64
+
+	// matchA and matchB are the path matcher's scratch: Matches
+	// alternates between them step by step and returns one of them.
+	matchA, matchB []Match
+	// epoch numbers the matcher's dedup passes; a node whose matchEpoch
+	// equals it was reached in the current pass (see nextEpoch).
+	epoch uint32
 
 	// pending holds deferred sign-offs (see PendingSignOffs).
 	pending []pendingSignOff
@@ -105,17 +114,13 @@ func (b *Buffer) Release() {
 	b.slabUsed = 0
 	b.Root = nil
 	b.pending = nil
+	b.matchA, b.matchB = nil, nil
 }
 
 // New returns an empty buffer containing only the (permanently pinned)
 // virtual root.
 func New() *Buffer {
-	root := &Node{Kind: KindRoot, pins: 1, subtreeWeight: 1}
-	return &Buffer{
-		Root:     root,
-		assigned: make(map[int]int64),
-		removed:  make(map[int]int64),
-	}
+	return &Buffer{Root: &Node{Kind: KindRoot, pins: 1, subtreeWeight: 1}}
 }
 
 // BudgetErr returns nil while the buffer has stayed within MaxNodes,
@@ -178,7 +183,11 @@ func (b *Buffer) AppendText(parent *Node, text string) *Node {
 // nodeBytes estimates the resident size of a single buffered node:
 // struct overhead plus payload strings.
 func nodeBytes(n *Node) int64 {
-	size := int64(128) // struct, links, role map headroom
+	// A fixed per-node charge for the struct, its links and role
+	// bookkeeping. It is an estimate, not unsafe.Sizeof: keeping it
+	// fixed keeps the reported byte peaks comparable across changes to
+	// the Node layout.
+	size := int64(128)
 	size += int64(len(n.Name) + len(n.Text))
 	for _, a := range n.Attrs {
 		size += int64(len(a.Name) + len(a.Value) + 32)
@@ -210,13 +219,26 @@ func (b *Buffer) link(parent, n *Node) {
 }
 
 // AssignRole adds one instance of role to n.
-func (b *Buffer) AssignRole(n *Node, role int) {
-	if n.roles == nil {
-		n.roles = make(map[int]int, 2)
+func (b *Buffer) AssignRole(n *Node, role int) { b.AssignRoles(n, role, 1) }
+
+// AssignRoles adds count instances of role to n, walking the weight
+// chain to the root once.
+func (b *Buffer) AssignRoles(n *Node, role, count int) {
+	if count == 0 {
+		return
 	}
-	n.roles[role]++
-	b.assigned[role]++
-	addWeight(n, 1)
+	n.addRoles(int32(role), int32(count))
+	b.assigned = growCounts(b.assigned, role)
+	b.assigned[role] += int64(count)
+	addWeight(n, int64(count))
+}
+
+// growCounts extends a balance counter slice so that role indexes it.
+func growCounts(c []int64, role int) []int64 {
+	if role < len(c) {
+		return c
+	}
+	return append(c, make([]int64, role+1-len(c))...)
 }
 
 // RemoveRole removes count instances of role from n and garbage-collects.
@@ -226,15 +248,16 @@ func (b *Buffer) RemoveRole(n *Node, role, count int) {
 	if count == 0 {
 		return
 	}
-	have := n.roles[role]
+	i := n.findRole(int32(role))
+	have := 0
+	if i >= 0 {
+		have = int(n.rolePairAt(i).count)
+	}
 	if have < count {
 		panic(fmt.Sprintf("buffer: removing %d×r%d from node <%s> carrying %d", count, role+1, n.Name, have))
 	}
-	if have == count {
-		delete(n.roles, role)
-	} else {
-		n.roles[role] = have - count
-	}
+	n.removeRoles(i, int32(count))
+	b.removed = growCounts(b.removed, role)
 	b.removed[role] += int64(count)
 	addWeight(n, -int64(count))
 	b.collect(n)
@@ -329,7 +352,8 @@ func releaseSubtree(n *Node) int64 {
 	n.Name = ""
 	n.Text = ""
 	n.Attrs = nil
-	n.roles = nil
+	n.roles = [2]rolePair{}
+	n.moreRoles = nil
 	n.FirstChild = nil
 	n.LastChild = nil
 	n.PrevSib = nil
@@ -360,7 +384,7 @@ func (b *Buffer) Dump(roleName func(int) string) string {
 func (b *Buffer) CheckInvariants() error {
 	var walk func(n *Node) (weight, nodes int64, err error)
 	walk = func(n *Node) (int64, int64, error) {
-		weight := int64(n.pins + n.RoleTotal())
+		weight := int64(n.pins) + int64(n.RoleTotal())
 		var nodes int64
 		if n.Kind != KindRoot {
 			nodes = 1
@@ -412,19 +436,22 @@ func (b *Buffer) CheckInvariants() error {
 }
 
 // CheckBalance verifies assigned == removed for every role; valid only
-// after evaluation has completed.
+// after evaluation has completed. The error lists every unbalanced role.
 func (b *Buffer) CheckBalance() error {
-	for role, a := range b.assigned {
-		if r := b.removed[role]; r != a {
-			return fmt.Errorf("role r%d: assigned %d, removed %d", role+1, a, r)
+	var errs []error
+	for role := 0; role < max(len(b.assigned), len(b.removed)); role++ {
+		var a, r int64
+		if role < len(b.assigned) {
+			a = b.assigned[role]
+		}
+		if role < len(b.removed) {
+			r = b.removed[role]
+		}
+		if a != r {
+			errs = append(errs, fmt.Errorf("role r%d: assigned %d, removed %d", role+1, a, r))
 		}
 	}
-	for role, r := range b.removed {
-		if a := b.assigned[role]; a != r {
-			return fmt.Errorf("role r%d: removed %d, assigned %d", role+1, r, a)
-		}
-	}
-	return nil
+	return errors.Join(errs...)
 }
 
 // Serialize writes the subtree of n to s (opening tag, content, closing

@@ -3,6 +3,7 @@ package buffer
 import (
 	"bytes"
 	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -297,7 +298,7 @@ func TestMatchesMultiplicityWithDescendants(t *testing.T) {
 		xpath.DescendantOrSelfNodeStep(),
 	}}
 	got := map[*Node]int{}
-	for _, m := range Matches(a, p) {
+	for _, m := range b.Matches(a, p) {
 		got[m.Node] = m.Count
 	}
 	if got[s1] != 1 || got[s2] != 2 || got[x] != 2 {
@@ -318,7 +319,7 @@ func TestFirstWitnessMatching(t *testing.T) {
 	b.CloseNode(x)
 	path := xpath.Path{Steps: []xpath.Step{{
 		Axis: xpath.Child, Test: xpath.Test{Kind: xpath.TestName, Name: "p"}, FirstOnly: true}}}
-	ms := Matches(x, path)
+	ms := b.Matches(x, path)
 	if len(ms) != 1 || ms[0].Node != p1 {
 		t.Fatalf("first-witness must match only the first p; got %d matches", len(ms))
 	}
@@ -340,7 +341,7 @@ func TestSelectDocOrder(t *testing.T) {
 	}
 	b.CloseNode(a)
 	dos := xpath.Path{Steps: []xpath.Step{xpath.DescendantOrSelfNodeStep()}}
-	got := SelectDocOrder(a, dos)
+	got := b.SelectDocOrder(a, dos)
 	want := append([]*Node{a}, ids...)
 	if len(got) != len(want) {
 		t.Fatalf("got %d nodes, want %d", len(got), len(want))
@@ -438,24 +439,36 @@ func TestDumpShowsRoles(t *testing.T) {
 }
 
 // TestRandomizedInvariants drives random buffer operations and checks
-// structural invariants throughout (property-based).
+// structural invariants throughout (property-based). Eight role ids and
+// batched assignments and removals push nodes past the two inline role
+// pairs into the overflow slice and back through swap-deletes.
 func TestRandomizedInvariants(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		b := New()
 		open := []*Node{b.Root}
 		var live []*Node // nodes holding roles we may remove
-		roleOf := map[*Node][]int{}
+		roleOf := map[*Node]map[int]int{}
+		assign := func(n *Node) {
+			role, count := r.Intn(8), 1+r.Intn(3)
+			if count == 1 && r.Intn(2) == 0 {
+				b.AssignRole(n, role)
+			} else {
+				b.AssignRoles(n, role, count)
+			}
+			if roleOf[n] == nil {
+				roleOf[n] = map[int]int{}
+				live = append(live, n)
+			}
+			roleOf[n][role] += count
+		}
 		for op := 0; op < 300; op++ {
-			switch r.Intn(5) {
+			switch r.Intn(6) {
 			case 0, 1: // append element
 				parent := open[len(open)-1]
 				n := b.AppendElement(parent, "n", nil)
 				if r.Intn(2) == 0 {
-					role := r.Intn(4)
-					b.AssignRole(n, role)
-					roleOf[n] = append(roleOf[n], role)
-					live = append(live, n)
+					assign(n)
 				}
 				if r.Intn(3) > 0 {
 					open = append(open, n)
@@ -467,32 +480,52 @@ func TestRandomizedInvariants(t *testing.T) {
 				if parent == b.Root {
 					continue
 				}
-				n := b.AppendText(parent, "t")
-				role := r.Intn(4)
-				b.AssignRole(n, role)
-				roleOf[n] = append(roleOf[n], role)
-				live = append(live, n)
+				assign(b.AppendText(parent, "t"))
 			case 3: // close deepest
 				if len(open) > 1 {
 					b.CloseNode(open[len(open)-1])
 					open = open[:len(open)-1]
 				}
-			case 4: // remove one role instance
+			case 4: // more roles on a node that still holds some
+				if len(live) > 0 {
+					assign(live[r.Intn(len(live))])
+				}
+			case 5: // remove one or more instances of one role
 				if len(live) > 0 {
 					i := r.Intn(len(live))
 					n := live[i]
-					rs := roleOf[n]
-					role := rs[len(rs)-1]
-					roleOf[n] = rs[:len(rs)-1]
+					var ids []int
+					for id := range roleOf[n] {
+						ids = append(ids, id)
+					}
+					sort.Ints(ids)
+					role := ids[r.Intn(len(ids))]
+					count := 1 + r.Intn(roleOf[n][role])
+					if roleOf[n][role] -= count; roleOf[n][role] == 0 {
+						delete(roleOf[n], role)
+					}
 					if len(roleOf[n]) == 0 {
+						delete(roleOf, n)
 						live = append(live[:i], live[i+1:]...)
 					}
-					b.RemoveRole(n, role, 1)
+					b.RemoveRole(n, role, count)
 				}
 			}
 			if err := b.CheckInvariants(); err != nil {
 				t.Logf("seed %d op %d: %v", seed, op, err)
 				return false
+			}
+			for _, n := range live {
+				for role, c := range roleOf[n] {
+					if got := n.RoleCount(role); got != c {
+						t.Logf("seed %d op %d: RoleCount(r%d) = %d, want %d", seed, op, role+1, got, c)
+						return false
+					}
+				}
+				if got := len(n.Roles()); got != len(roleOf[n]) {
+					t.Logf("seed %d op %d: %d distinct roles, want %d", seed, op, got, len(roleOf[n]))
+					return false
+				}
 			}
 		}
 		// close everything and remove remaining roles: buffer must empty
@@ -501,18 +534,56 @@ func TestRandomizedInvariants(t *testing.T) {
 			open = open[:len(open)-1]
 		}
 		for _, n := range live {
-			for _, role := range roleOf[n] {
-				b.RemoveRole(n, role, 1)
+			for role, c := range roleOf[n] {
+				b.RemoveRole(n, role, c)
 			}
 		}
 		if b.CurrentNodes != 0 {
 			t.Logf("seed %d: %d nodes left after full drain\n%s", seed, b.CurrentNodes, b.Dump(nil))
 			return false
 		}
+		if err := b.CheckBalance(); err != nil {
+			t.Logf("seed %d: %v", seed, err)
+			return false
+		}
 		return b.CheckInvariants() == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCheckBalanceUnevenCounters: the dense counters grow only as far as
+// the highest role id each side has seen, so a missing removal can sit
+// beyond the end of removed and an extra removal beyond the end of
+// assigned. CheckBalance must report both.
+func TestCheckBalanceUnevenCounters(t *testing.T) {
+	b := New()
+	x := b.AppendElement(b.Root, "x", nil)
+	b.AssignRoles(x, 0, 2)
+	b.AssignRole(x, 5)
+	b.CloseNode(x)
+	b.RemoveRole(x, 0, 2)
+	if len(b.assigned) == len(b.removed) {
+		t.Fatalf("counters have equal lengths %d; the case needs them uneven", len(b.assigned))
+	}
+	err := b.CheckBalance()
+	if err == nil || !strings.Contains(err.Error(), "role r6: assigned 1, removed 0") {
+		t.Fatalf("missing removal of r6 not reported: %v", err)
+	}
+	b.RemoveRole(x, 5, 1)
+	if err := b.CheckBalance(); err != nil {
+		t.Fatalf("balanced run reported %v", err)
+	}
+	// An extra removal cannot come from RemoveRole (it panics on
+	// underflow), so plant one directly: r8 removed, never assigned.
+	b.removed = growCounts(b.removed, 7)
+	b.removed[7] = 1
+	b.assigned[0]++
+	err = b.CheckBalance()
+	if err == nil || !strings.Contains(err.Error(), "role r8: assigned 0, removed 1") ||
+		!strings.Contains(err.Error(), "role r1: assigned 3, removed 2") {
+		t.Fatalf("extra removal of r8 and missing removal of r1 not both reported: %v", err)
 	}
 }
 
@@ -542,7 +613,7 @@ func TestExistsShortCircuit(t *testing.T) {
 		{Steps: []xpath.Step{{Axis: xpath.Self, Test: xpath.Test{Kind: xpath.TestName, Name: "z"}}}},
 	}
 	for _, p := range paths {
-		want := len(Matches(a, p)) > 0
+		want := len(b.Matches(a, p)) > 0
 		if got := Exists(a, p); got != want {
 			t.Errorf("Exists(%s) = %v, Matches says %v", p, got, want)
 		}
@@ -573,7 +644,7 @@ func TestExistsFirstWitnessSubtlety(t *testing.T) {
 	if Exists(x, path) {
 		t.Fatal("p[1]/q must not exist: the first p has no q")
 	}
-	if len(Matches(x, path)) != 0 {
+	if len(b.Matches(x, path)) != 0 {
 		t.Fatal("Matches must agree")
 	}
 }

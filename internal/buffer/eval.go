@@ -19,52 +19,71 @@ type Match struct {
 // step-wise expansion and is NOT document order — use SelectDocOrder for
 // output positions.
 //
+// The result lives in the buffer's matcher scratch: it is valid only
+// until the next Matches or SelectDocOrder call on b, so callers that
+// match again while still holding it must copy it first.
+//
 // Attribute steps are rejected: attributes are element properties in
 // this system and never appear in projection or sign-off paths.
-func Matches(base *Node, path xpath.Path) []Match {
+func (b *Buffer) Matches(base *Node, path xpath.Path) []Match {
 	if path.EndsWithAttribute() {
 		panic("buffer: attribute step in buffered-path evaluation")
 	}
-	cur := []Match{{Node: base, Count: 1}}
-	for _, step := range path.Steps {
-		cur = evalStep(cur, step)
+	cur := append(b.matchA[:0], Match{Node: base, Count: 1})
+	next := b.matchB
+	for i := range path.Steps {
+		next = b.evalStep(cur, next[:0], &path.Steps[i])
+		cur, next = next, cur
 		if len(cur) == 0 {
-			return nil
+			break
 		}
+	}
+	b.matchA, b.matchB = cur, next
+	if len(cur) == 0 {
+		return nil
 	}
 	return cur
 }
 
-func evalStep(sources []Match, step xpath.Step) []Match {
-	var out []Match
-	idx := make(map[*Node]int)
-	add := func(n *Node, count int) {
-		if i, ok := idx[n]; ok {
-			out[i].Count += count
-			return
-		}
-		idx[n] = len(out)
-		out = append(out, Match{Node: n, Count: count})
+// evalStep appends to out the nodes step reaches from sources. A single
+// source reaches every node at most once; with several sources a node
+// can be reached repeatedly, and its entries merge by summing counts,
+// found through the node's epoch mark instead of a set.
+func (b *Buffer) evalStep(sources, out []Match, step *xpath.Step) []Match {
+	dedup := len(sources) > 1
+	if dedup {
+		b.nextEpoch()
 	}
 	for _, src := range sources {
 		switch step.Axis {
 		case xpath.Self:
 			if matchesNode(src.Node, step.Test) {
-				add(src.Node, src.Count)
+				out = b.addMatch(out, src.Node, src.Count, dedup)
 			}
 		case xpath.Child:
 			for c := src.Node.FirstChild; c != nil; c = c.NextSib {
 				if matchesNode(c, step.Test) {
-					add(c, src.Count)
+					out = b.addMatch(out, c, src.Count, dedup)
 					if step.FirstOnly {
 						break
 					}
 				}
 			}
-		case xpath.Descendant:
-			walkDescendants(src.Node, false, step, src.Count, add)
-		case xpath.DescendantOrSelf:
-			walkDescendants(src.Node, true, step, src.Count, add)
+		case xpath.Descendant, xpath.DescendantOrSelf:
+			// Document-order walk of the source's subtree; with
+			// FirstOnly only the first match per source counts.
+			n := src.Node
+			if step.Axis == xpath.Descendant {
+				n = docOrderSuccessor(src.Node, n)
+			}
+			for ; n != nil; n = docOrderSuccessor(src.Node, n) {
+				if matchesNode(n, step.Test) {
+					out = b.addMatch(out, n, src.Count, dedup)
+					if step.FirstOnly {
+						break
+					}
+				}
+			}
 		default:
 			panic("buffer: unsupported axis " + step.Axis.String())
 		}
@@ -72,27 +91,35 @@ func evalStep(sources []Match, step xpath.Step) []Match {
 	return out
 }
 
-// walkDescendants visits the subtree of n in document order, applying
-// the test. With FirstOnly, only the first match (per source context) is
-// reported.
-func walkDescendants(n *Node, includeSelf bool, step xpath.Step, count int, add func(*Node, int)) {
-	first := step.FirstOnly
-	var rec func(m *Node, self bool) bool
-	rec = func(m *Node, self bool) bool {
-		if self && matchesNode(m, step.Test) {
-			add(m, count)
-			if first {
-				return true
-			}
+// addMatch appends n with count to out, or with dedup adds count to n's
+// entry if this pass already reached it.
+func (b *Buffer) addMatch(out []Match, n *Node, count int, dedup bool) []Match {
+	if dedup {
+		if n.matchEpoch == b.epoch {
+			out[n.matchSlot].Count += count
+			return out
 		}
-		for c := m.FirstChild; c != nil; c = c.NextSib {
-			if rec(c, true) {
-				return true
-			}
-		}
-		return false
+		n.matchEpoch, n.matchSlot = b.epoch, int32(len(out))
 	}
-	rec(n, includeSelf)
+	return append(out, Match{Node: n, Count: count})
+}
+
+// nextEpoch starts a new marking pass. Marks from earlier passes carry
+// smaller epochs and never equal the new one; when the counter wraps,
+// every node's mark is cleared so that a stale mark cannot alias a
+// reused epoch (epoch 0 is never used, so zeroed nodes are unmarked).
+func (b *Buffer) nextEpoch() {
+	b.epoch++
+	if b.epoch != 0 {
+		return
+	}
+	b.Root.matchEpoch = 0
+	for _, s := range b.slabs {
+		for i := range s {
+			s[i].matchEpoch = 0
+		}
+	}
+	b.epoch = 1
 }
 
 func matchesNode(n *Node, test xpath.Test) bool {
@@ -112,35 +139,30 @@ func matchesNode(n *Node, test xpath.Test) bool {
 // SelectDocOrder evaluates path relative to base and returns the
 // distinct matched nodes in document order — the node-set semantics of
 // output positions ("$b/title" emits each title once, in order).
-func SelectDocOrder(base *Node, path xpath.Path) []*Node {
-	matches := Matches(base, path)
+//
+// Unlike Matches, the result is a fresh slice that stays valid across
+// later match calls: the join build holds it while nested evaluation
+// matches again.
+func (b *Buffer) SelectDocOrder(base *Node, path xpath.Path) []*Node {
+	matches := b.Matches(base, path)
 	if len(matches) == 0 {
 		return nil
 	}
 	if len(matches) == 1 {
 		return []*Node{matches[0].Node}
 	}
-	set := make(map[*Node]bool, len(matches))
+	b.nextEpoch()
 	for _, m := range matches {
-		set[m.Node] = true
+		m.Node.matchEpoch = b.epoch
 	}
-	out := make([]*Node, 0, len(set))
-	var rec func(n *Node)
-	rec = func(n *Node) {
-		if set[n] {
+	// Every match lies in base's subtree (the axes only descend), and
+	// the matches are distinct, so the walk stops at the last one.
+	out := make([]*Node, 0, len(matches))
+	for n := base; len(out) < len(matches); n = docOrderSuccessor(base, n) {
+		if n.matchEpoch == b.epoch {
 			out = append(out, n)
-			if len(out) == len(set) {
-				return
-			}
-		}
-		for c := n.FirstChild; c != nil; c = c.NextSib {
-			rec(c)
-			if len(out) == len(set) {
-				return
-			}
 		}
 	}
-	rec(base)
 	return out
 }
 

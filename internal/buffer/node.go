@@ -35,7 +35,19 @@ const (
 // Node is a buffered XML node. Children form a doubly linked list so
 // that purging is O(1) pointer surgery.
 type Node struct {
-	Kind  NodeKind
+	Kind NodeKind
+	// Closed is set when the node's end tag has been processed (text
+	// nodes are born closed).
+	Closed bool
+	// unlinked marks a purged subtree root, so stale references can
+	// detect that the node left the buffer.
+	unlinked bool
+
+	// pins counts temporary protections: one while the node is open
+	// (its close tag has not arrived) and one per evaluator reference
+	// (current loop binding). Pins contribute to subtreeWeight.
+	pins int32
+
 	Name  string       // element name (KindElement)
 	Attrs []event.Attr // attributes ride along with their element
 	Text  string       // character data (KindText)
@@ -46,9 +58,14 @@ type Node struct {
 	PrevSib    *Node
 	NextSib    *Node
 
-	// roles is the role multiset: instance counts per role id. Allocated
-	// lazily; most nodes carry one or two roles.
-	roles map[int]int
+	// roles and moreRoles hold the role multiset as (role, count)
+	// pairs: the first two distinct roles inline, any further ones in
+	// moreRoles. The pairs are packed — roles[1] is used only when
+	// roles[0] is, and moreRoles only when both are — and a pair with a
+	// zero count is an empty slot. Most nodes carry one or two roles, so
+	// assigning them allocates nothing.
+	roles     [2]rolePair
+	moreRoles []rolePair
 
 	// subtreeWeight is the number of role instances plus pins in this
 	// node's subtree, including the node itself. Zero means the subtree
@@ -64,41 +81,106 @@ type Node struct {
 	// link time; see nodeBytes).
 	bytes int64
 
-	// pins counts temporary protections: one while the node is open
-	// (its close tag has not arrived) and one per evaluator reference
-	// (current loop binding). Pins contribute to subtreeWeight.
-	pins int
+	// matchEpoch and matchSlot are the path matcher's dedup mark: the
+	// node was reached in the match pass numbered matchEpoch, at index
+	// matchSlot of that pass's output (see Buffer.nextEpoch).
+	matchEpoch uint32
+	matchSlot  int32
+}
 
-	// Closed is set when the node's end tag has been processed (text
-	// nodes are born closed).
-	Closed bool
+// rolePair is one entry of a node's role multiset. 32-bit counts
+// suffice: the preprojector assigns one instance per live derivation
+// item, so a count near 2^31 would need billions of items in memory.
+type rolePair struct {
+	role, count int32
+}
 
-	// unlinked marks a purged subtree root, so stale references can
-	// detect that the node left the buffer.
-	unlinked bool
+// numRoles returns the number of distinct roles on the node.
+func (n *Node) numRoles() int {
+	switch {
+	case n.roles[0].count == 0:
+		return 0
+	case n.roles[1].count == 0:
+		return 1
+	}
+	return 2 + len(n.moreRoles)
+}
+
+// rolePairAt returns the i-th pair of the packed sequence roles, moreRoles.
+func (n *Node) rolePairAt(i int) *rolePair {
+	if i < len(n.roles) {
+		return &n.roles[i]
+	}
+	return &n.moreRoles[i-len(n.roles)]
+}
+
+// findRole returns the index of role's pair, or -1.
+func (n *Node) findRole(role int32) int {
+	for i, k := 0, n.numRoles(); i < k; i++ {
+		if n.rolePairAt(i).role == role {
+			return i
+		}
+	}
+	return -1
+}
+
+// addRoles adds count instances of role to the multiset.
+func (n *Node) addRoles(role, count int32) {
+	if i := n.findRole(role); i >= 0 {
+		n.rolePairAt(i).count += count
+		return
+	}
+	p := rolePair{role: role, count: count}
+	if k := n.numRoles(); k < len(n.roles) {
+		n.roles[k] = p
+	} else {
+		n.moreRoles = append(n.moreRoles, p)
+	}
+}
+
+// removeRoles drops count instances from the pair at index i; a pair
+// whose count reaches zero is swap-deleted with the last pair.
+func (n *Node) removeRoles(i int, count int32) {
+	last := n.numRoles() - 1
+	p := n.rolePairAt(i)
+	if p.count -= count; p.count != 0 {
+		return
+	}
+	*p = *n.rolePairAt(last)
+	if last >= len(n.roles) {
+		n.moreRoles = n.moreRoles[:len(n.moreRoles)-1]
+	} else {
+		n.roles[last] = rolePair{}
+	}
 }
 
 // RoleCount returns the number of instances of role on the node.
-func (n *Node) RoleCount(role int) int { return n.roles[role] }
+func (n *Node) RoleCount(role int) int {
+	if i := n.findRole(int32(role)); i >= 0 {
+		return int(n.rolePairAt(i).count)
+	}
+	return 0
+}
 
 // RoleTotal returns the total number of role instances on the node
 // itself (excluding pins and descendants).
 func (n *Node) RoleTotal() int {
 	total := 0
-	for _, c := range n.roles {
-		total += c
+	for i, k := 0, n.numRoles(); i < k; i++ {
+		total += int(n.rolePairAt(i).count)
 	}
 	return total
 }
 
 // Roles returns the role ids present on this node in ascending order.
 func (n *Node) Roles() []int {
-	if len(n.roles) == 0 {
+	k := n.numRoles()
+	if k == 0 {
 		return nil
 	}
-	ids := make([]int, 0, len(n.roles))
-	for id := range n.roles {
-		ids = append(ids, id)
+	ids := make([]int, k)
+	for i := range ids {
+		ids[i] = int(n.rolePairAt(i).role)
 	}
 	for i := 1; i < len(ids); i++ { // insertion sort; tiny slices
 		for j := i; j > 0 && ids[j-1] > ids[j]; j-- {
@@ -175,7 +257,7 @@ func (n *Node) label(roleName func(int) string) string {
 				name = roleName(id)
 			}
 			b.WriteString(name)
-			if c := n.roles[id]; c > 1 {
+			if c := n.RoleCount(id); c > 1 {
 				fmt.Fprintf(&b, "×%d", c)
 			}
 		}

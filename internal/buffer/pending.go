@@ -19,9 +19,8 @@ type pendingSignOff struct {
 // subtree is completely buffered (base.Closed), otherwise instances
 // assigned to still-streaming nodes would be missed.
 func (b *Buffer) SignOffNow(base *Node, path xpath.Path, role int) int {
-	matches := Matches(base, path)
 	total := 0
-	for _, m := range matches {
+	for _, m := range b.Matches(base, path) {
 		b.RemoveRole(m.Node, role, m.Count)
 		total += m.Count
 	}

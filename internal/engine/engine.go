@@ -406,7 +406,7 @@ func (e *Engine) evalOutputPath(pe xqast.PathExpr, env map[string]*buffer.Node) 
 		}
 		return nil
 	}
-	for _, n := range buffer.SelectDocOrder(base, pe.Path) {
+	for _, n := range e.buf.SelectDocOrder(base, pe.Path) {
 		buffer.Serialize(n, e.out)
 	}
 	return nil
@@ -418,7 +418,7 @@ func (e *Engine) selectElems(base *buffer.Node, path xpath.Path) []*buffer.Node 
 	if path.IsEmpty() {
 		return []*buffer.Node{base}
 	}
-	return buffer.SelectDocOrder(base, path)
+	return e.buf.SelectDocOrder(base, path)
 }
 
 // evalFor runs a single-step for-loop: bindings are pulled one at a

@@ -170,7 +170,7 @@ func (e *Engine) finalizeJoin() error {
 		// ensure calls inside pathValues find their subtrees already
 		// buffered, and the span guard keeps them out of PhaseStream.
 		err := e.span(obs.PhaseJoinBuild, func() error {
-			tuples := buffer.SelectDocOrder(e.buf.Root, j.info.BuildPath)
+			tuples := e.buf.SelectDocOrder(e.buf.Root, j.info.BuildPath)
 			benv := map[string]*buffer.Node{xqast.RootVar: e.buf.Root}
 			i := 0
 			next := func(*buffer.Node) *buffer.Node {

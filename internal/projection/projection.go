@@ -106,9 +106,7 @@ func New(src event.Source, buf *buffer.Buffer, rolePaths []xpath.Path) *Preproje
 		p.advance(&root, item{role: role, step: 0, count: 1}, &done)
 	}
 	for _, role := range done.roles {
-		for i := 0; i < done.counts[role]; i++ {
-			buf.AssignRole(buf.Root, role)
-		}
+		buf.AssignRoles(buf.Root, role, done.counts[role])
 	}
 	p.stack = append(p.stack, root)
 	return p
@@ -263,9 +261,7 @@ func (p *Preprojector) startElement(tok event.Token) error {
 	if len(done.roles) > 0 {
 		nf.node = p.materialize(tok.Name, tok.Attrs)
 		for _, role := range done.roles {
-			for i := 0; i < done.counts[role]; i++ {
-				p.buf.AssignRole(nf.node, role)
-			}
+			p.buf.AssignRoles(nf.node, role, done.counts[role])
 		}
 	} else if p.dfa != nil && len(nf.items) == 0 {
 		// Dynamic dead test: the automaton over-approximates (it
@@ -365,9 +361,7 @@ func (p *Preprojector) text(tok event.Token) {
 	parent := p.materializeStack()
 	n := p.buf.AppendText(parent, tok.Text)
 	for _, role := range done.roles {
-		for i := 0; i < done.counts[role]; i++ {
-			p.buf.AssignRole(n, role)
-		}
+		p.buf.AssignRoles(n, role, done.counts[role])
 	}
 }
 

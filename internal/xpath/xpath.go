@@ -189,14 +189,16 @@ func (p Path) EndsWithText() bool {
 	return len(p.Steps) > 0 && p.Steps[len(p.Steps)-1].Test.Kind == TestText
 }
 
-// WithoutLastStep returns the path with its final step removed.
+// WithoutLastStep returns the path with its final step removed. The
+// result shares p's steps without copying; its capacity is cut at its
+// length, so appending to it copies instead of overwriting p's last
+// step. Callers must not assign to its Steps elements.
 func (p Path) WithoutLastStep() Path {
 	if len(p.Steps) == 0 {
 		return p
 	}
-	out := make([]Step, len(p.Steps)-1)
-	copy(out, p.Steps[:len(p.Steps)-1])
-	return Path{Steps: out}
+	n := len(p.Steps) - 1
+	return Path{Steps: p.Steps[:n:n]}
 }
 
 // LastStep returns the final step. It panics on an empty path.

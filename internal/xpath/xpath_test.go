@@ -72,6 +72,21 @@ func TestTestMatching(t *testing.T) {
 	}
 }
 
+// TestWithoutLastStepAppendKeepsOriginal: WithoutLastStep shares the
+// receiver's steps, so appending to the result must copy rather than
+// overwrite the receiver's last step.
+func TestWithoutLastStepAppendKeepsOriginal(t *testing.T) {
+	q := Path{Steps: []Step{ChildStep("a"), ChildStep("b"), AttributeStep("id")}}
+	r := q.WithoutLastStep()
+	r.Steps = append(r.Steps, ChildStep("c"))
+	if q.String() != "/a/b/@id" {
+		t.Fatalf("appending to WithoutLastStep changed the original: %q", q.String())
+	}
+	if r.String() != "/a/b/c" {
+		t.Fatalf("appended path = %q", r.String())
+	}
+}
+
 func TestPathHelpers(t *testing.T) {
 	p := Path{Steps: []Step{ChildStep("a")}}
 	q := p.Append(ChildStep("b"), AttributeStep("id"))

@@ -74,6 +74,7 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzSkipSubtree -fuzztime 10s ./internal/xmltok
 	$(GO) test -run xxx -fuzz FuzzJSONTokenizer -fuzztime 10s ./internal/jsontok
 	$(GO) test -run xxx -fuzz FuzzJSONSkipSubtree -fuzztime 10s ./internal/jsontok
+	$(GO) test -run xxx -fuzz FuzzJSONRawSkip -fuzztime 10s ./internal/jsontok
 	$(GO) test -run xxx -fuzz FuzzParse -fuzztime 10s ./internal/xqparse
 	$(GO) test -run xxx -fuzz FuzzStreamBound -fuzztime 10s .
 	$(GO) test -run xxx -fuzz FuzzJoinKeys -fuzztime 10s .

@@ -55,6 +55,12 @@ type Attr struct {
 // Token is one event of the input or output stream.
 type Token struct {
 	Kind Kind
+	// Sym is the element name's id in the alphabet the source was given
+	// with SetSymbols (0 for a name outside it, or when no alphabet is
+	// set). Sources set it on StartElement tokens only. It sits beside
+	// Kind, in padding that would otherwise be wasted, so a Token stays
+	// 64 bytes: every Source.Next returns one by value.
+	Sym int32
 	// Name is the element name for StartElement and EndElement tokens.
 	Name string
 	// Text is the character data for Text tokens.
@@ -106,6 +112,11 @@ type Source interface {
 	SkipStats() SkipStats
 	// SetContext attaches a cancellation context checked at every pull.
 	SetContext(ctx context.Context)
+	// SetSymbols attaches the query's name alphabet: from then on every
+	// StartElement carries its name's id in Token.Sym, and in-alphabet
+	// names come back as the alphabet's own strings. It must be called
+	// before the first Next; nil detaches the alphabet.
+	SetSymbols(syms *Symbols)
 	// Release hands pooled buffers back; the Source is unusable after.
 	Release()
 }

@@ -69,6 +69,8 @@ const (
 
 type frame struct {
 	kind uint8
+	// sym is name's id in the tokenizer's alphabet (0 outside it).
+	sym  int32
 	name string
 	// needSep is set once a member value has been consumed, so the next
 	// parse position expects ',' or the closing bracket.
@@ -92,10 +94,21 @@ type Tokenizer struct {
 	scalarPending bool
 	scalarName    string
 
-	// names interns object keys (→ element names); repeated fields in
-	// large streams share one string allocation. Only owned copies are
-	// stored — never borrowed input bytes — because the map outlives the
-	// input across pooled reuses.
+	// syms is the query's name alphabet (SetSymbols), or nil. Keys in it
+	// come back as the alphabet's own strings; keySym is the id of the
+	// key readString read last, and rootSym/recordSym are the ids of the
+	// two virtual names, resolved once in SetSymbols.
+	syms      *event.Symbols
+	keySym    int32
+	rootSym   int32
+	recordSym int32
+
+	// names interns the reader path's out-of-alphabet object keys (→
+	// element names), and escaped keys on either path; repeated fields
+	// in large streams share one string allocation. Only owned copies
+	// are stored — never borrowed input bytes — because the map outlives
+	// the input across pooled reuses. The []byte path borrows escape-free
+	// keys from the input instead.
 	names map[string]string
 
 	ctx     context.Context
@@ -152,6 +165,7 @@ func (t *Tokenizer) reset() {
 	t.ppend = 0
 	t.scalarPending = false
 	t.scalarName = ""
+	t.SetSymbols(nil)
 	if len(t.names) > maxInternedNames {
 		clear(t.names)
 	}
@@ -177,6 +191,15 @@ func (t *Tokenizer) SetContext(ctx context.Context) {
 	}
 }
 
+// SetSymbols attaches the query's name alphabet (event.Source): every
+// StartElement then carries its name's symbol id in Token.Sym. Call it
+// before the first Next.
+func (t *Tokenizer) SetSymbols(syms *event.Symbols) {
+	t.syms = syms
+	t.rootSym = syms.Lookup(event.RootName)
+	t.recordSym = syms.Lookup(event.RecordName)
+}
+
 // Release returns the tokenizer's buffers to the pool. The tokenizer
 // must not be used afterwards; counters read before Release stay valid.
 // Release is idempotent.
@@ -186,6 +209,14 @@ func (t *Tokenizer) Release() {
 	}
 	t.released = true
 	t.cur.ResetBytes(nil) // drop the reader / input-slice reference
+	// Names on the []byte path borrow the input: a pooled tokenizer
+	// must not keep them (or the caller's input) alive.
+	clear(t.stack[:cap(t.stack)])
+	t.stack = t.stack[:0]
+	t.pending = [2]event.Token{}
+	t.npend, t.ppend = 0, 0
+	t.scalarName = ""
+	t.SetSymbols(nil)
 	t.ctx = nil
 	t.ctxDone = nil
 	tokenizerPool.Put(t)
@@ -254,8 +285,8 @@ func (t *Tokenizer) Next() (event.Token, error) {
 	}
 	if !t.started {
 		t.started = true
-		t.stack = append(t.stack, frame{kind: frameStream, name: event.RootName})
-		return t.emit(event.Token{Kind: event.StartElement, Name: event.RootName})
+		t.stack = append(t.stack, frame{kind: frameStream, sym: t.rootSym, name: event.RootName})
+		return t.emit(event.Token{Kind: event.StartElement, Sym: t.rootSym, Name: event.RootName})
 	}
 	for {
 		top := &t.stack[len(t.stack)-1]
@@ -270,14 +301,14 @@ func (t *Tokenizer) Next() (event.Token, error) {
 			if err != nil {
 				return event.Token{}, err
 			}
-			tok, ok, err := t.beginValue(event.RecordName)
+			ok, err := t.beginValue(event.RecordName, t.recordSym)
 			if err != nil {
 				return event.Token{}, err
 			}
 			if !ok {
 				continue
 			}
-			return tok, nil
+			return t.start(event.RecordName, t.recordSym)
 		case frameObject:
 			b, err := t.skipSpace()
 			if err != nil {
@@ -304,19 +335,20 @@ func (t *Tokenizer) Next() (event.Token, error) {
 			if err != nil {
 				return event.Token{}, err
 			}
+			keySym := t.keySym
 			b, err = t.skipSpace()
 			if err != nil || b != ':' {
 				return event.Token{}, t.unexpectedSep(err, b, "':' after object key")
 			}
 			t.cur.Advance(1)
-			tok, ok, err := t.beginValue(key)
+			ok, err := t.beginValue(key, keySym)
 			if err != nil {
 				return event.Token{}, err
 			}
 			if !ok {
 				continue
 			}
-			return tok, nil
+			return t.start(key, keySym)
 		case frameArray:
 			b, err := t.skipSpace()
 			if err != nil {
@@ -335,14 +367,14 @@ func (t *Tokenizer) Next() (event.Token, error) {
 				top.needSep = false
 				continue
 			}
-			tok, ok, err := t.beginValue(top.name)
+			ok, err := t.beginValue(top.name, top.sym)
 			if err != nil {
 				return event.Token{}, err
 			}
 			if !ok {
 				continue
 			}
-			return tok, nil
+			return t.start(top.name, top.sym)
 		default:
 			return event.Token{}, t.errf("corrupt tokenizer state")
 		}
@@ -350,9 +382,12 @@ func (t *Tokenizer) Next() (event.Token, error) {
 }
 
 // beginValue parses the start of one JSON value that maps to elements
-// named name. The enclosing frame's separator expectation is armed
-// here, before any child frame is pushed. ok=false (with nil error)
-// means an array frame was pushed and the caller's loop must continue —
+// named name, whose symbol id is sym. The enclosing frame's separator
+// expectation is armed here, before any child frame is pushed. ok=true
+// means the value opens an element: the caller returns its
+// StartElement (start), built in place rather than copied out of here.
+// ok=false (with nil error) means an array frame was pushed and the
+// caller's loop must continue —
 // arrays emit no event of their own, and iterating instead of recursing
 // keeps deeply nested array input from growing the goroutine stack.
 //
@@ -361,30 +396,34 @@ func (t *Tokenizer) Next() (event.Token, error) {
 // the StartElement can raw-scan them. A malformed scalar therefore
 // surfaces its syntax error on the Next after the StartElement, not
 // before it.
-func (t *Tokenizer) beginValue(name string) (event.Token, bool, error) {
+func (t *Tokenizer) beginValue(name string, sym int32) (bool, error) {
 	t.stack[len(t.stack)-1].needSep = true
 	b, err := t.skipSpace()
 	if err != nil {
-		return event.Token{}, false, t.unexpectedEOF(err, "expecting value")
+		return false, t.unexpectedEOF(err, "expecting value")
 	}
 	switch {
 	case b == '{':
 		t.cur.Advance(1)
-		t.stack = append(t.stack, frame{kind: frameObject, name: name})
-		tok, err := t.emit(event.Token{Kind: event.StartElement, Name: name})
-		return tok, true, err
+		t.stack = append(t.stack, frame{kind: frameObject, sym: sym, name: name})
+		return true, nil
 	case b == '[':
 		t.cur.Advance(1)
-		t.stack = append(t.stack, frame{kind: frameArray, name: name})
-		return event.Token{}, false, nil
+		t.stack = append(t.stack, frame{kind: frameArray, sym: sym, name: name})
+		return false, nil
 	case b == '"' || b == 't' || b == 'f' || b == 'n' || b == '-' || (b >= '0' && b <= '9'):
 		t.scalarPending = true
 		t.scalarName = name
-		tok, err := t.emit(event.Token{Kind: event.StartElement, Name: name})
-		return tok, true, err
+		return true, nil
 	default:
-		return event.Token{}, false, t.errf("unexpected %q at start of value", b)
+		return false, t.errf("unexpected %q at start of value", b)
 	}
+}
+
+// start delivers the StartElement of the value beginValue just opened.
+func (t *Tokenizer) start(name string, sym int32) (event.Token, error) {
+	t.count++
+	return event.Token{Kind: event.StartElement, Sym: sym, Name: name}, nil
 }
 
 // parseScalar consumes the deferred scalar value and returns its first
@@ -472,34 +511,82 @@ func (t *Tokenizer) SkipSubtree() error {
 	}
 }
 
+// stringEnd is the string kernel of the skip paths: it finds the quote
+// that closes a JSON string in w, the string's bytes from some point
+// after its opening quote. esc reports that the byte before w[0] was a
+// backslash still waiting for the byte it escapes (a window boundary
+// split the escape). The scan jumps from quote to quote with
+// bytes.IndexByte; a quote closes the string when the run of
+// backslashes before it has even length. It returns the quote's index,
+// or -1 when w ends first, together with the escape state to carry
+// into the next window.
+func stringEnd(w []byte, esc bool) (int, bool) {
+	from := 0
+	if esc {
+		if len(w) == 0 {
+			return -1, true
+		}
+		from = 1 // w[0] is the escaped byte
+	}
+	for {
+		// Invariant: w[from] is not escaped.
+		j := bytes.IndexByte(w[from:], '"')
+		if j < 0 {
+			return -1, backslashRun(w, from, len(w))%2 == 1
+		}
+		q := from + j
+		if backslashRun(w, from, q)%2 == 0 {
+			return q, false
+		}
+		from = q + 1
+	}
+}
+
+// backslashRun counts the backslashes immediately before w[end], not
+// looking before w[from].
+func backslashRun(w []byte, from, end int) int {
+	k := end
+	for k > from && w[k-1] == '\\' {
+		k--
+	}
+	return end - k
+}
+
 // rawSkip consumes bytes until the container nesting depth returns to
 // zero from the given starting depth, honoring strings and escapes. It
-// scans the cursor window in place — the hot loop touches each byte
-// once and allocates nothing.
+// scans the cursor window in place and allocates nothing: structure
+// outside strings is read byte by byte, and each string is crossed in
+// one stringEnd jump.
 func (t *Tokenizer) rawSkip(depth int) error {
 	inStr := false
-	escaped := false
+	esc := false
 	for {
 		if err := t.cur.Fill(); err != nil {
 			return t.unexpectedEOF(err, "inside skipped value")
 		}
 		buf := t.cur.Window()
-		for i := 0; i < len(buf); i++ {
-			c := buf[i]
-			if inStr {
-				switch {
-				case escaped:
-					escaped = false
-				case c == '\\':
-					escaped = true
-				case c == '"':
-					inStr = false
-				}
-				continue
+		i := 0
+		if inStr {
+			// A string left open by the previous window.
+			q, e := stringEnd(buf, esc)
+			if q < 0 {
+				esc = e
+				i = len(buf)
+			} else {
+				inStr = false
+				i = q + 1
 			}
-			switch c {
+		}
+	scan:
+		for ; i < len(buf); i++ {
+			switch buf[i] {
 			case '"':
-				inStr = true
+				q, e := stringEnd(buf[i+1:], false)
+				if q < 0 {
+					inStr, esc = true, e
+					break scan
+				}
+				i += q + 1 // the closing quote
 			case '{', '[':
 				depth++
 			case '}', ']':
@@ -533,25 +620,19 @@ func (t *Tokenizer) skipScalar() error {
 	if b == '"' {
 		t.cur.Advance(1)
 		t.bytesSkipped++
-		escaped := false
+		esc := false
 		for {
 			if err := t.cur.Fill(); err != nil {
 				return t.unexpectedEOF(err, "inside skipped string")
 			}
 			w := t.cur.Window()
-			for i := 0; i < len(w); i++ {
-				c := w[i]
-				switch {
-				case escaped:
-					escaped = false
-				case c == '\\':
-					escaped = true
-				case c == '"':
-					t.cur.Advance(i + 1)
-					t.bytesSkipped += int64(i + 1)
-					return nil
-				}
+			q, e := stringEnd(w, esc)
+			if q >= 0 {
+				t.cur.Advance(q + 1)
+				t.bytesSkipped += int64(q + 1)
+				return nil
 			}
+			esc = e
 			t.cur.Advance(len(w))
 			t.bytesSkipped += int64(len(w))
 		}
@@ -641,11 +722,11 @@ func (t *Tokenizer) literal(lit string) error {
 }
 
 // readString consumes a JSON string (the opening quote not yet
-// consumed) and returns its decoded value. Keys are interned. The hot
-// loop scans whole windows for the next quote, backslash or control
-// byte; on the []byte path an escape-free string is borrowed from the
-// input (keys hit the intern map without allocating).
-func (t *Tokenizer) readString(intern bool) (string, error) {
+// consumed) and returns its decoded value. A key (isKey) becomes an
+// element name through t.key, which also sets t.keySym. The hot loop
+// scans whole windows for the next quote, backslash or control byte; on
+// the []byte path an escape-free string is borrowed from the input.
+func (t *Tokenizer) readString(isKey bool) (string, error) {
 	if b, err := t.cur.Byte(); err != nil || b != '"' {
 		if err == nil {
 			t.cur.Unread()
@@ -660,7 +741,7 @@ func (t *Tokenizer) readString(intern bool) (string, error) {
 		}
 		w := t.cur.Window()
 		i := 0
-		for i < len(w) && w[i] != '"' && w[i] != '\\' && w[i] >= 0x20 {
+		for i < len(w) && !strStop[w[i]] {
 			i++
 		}
 		if i == len(w) {
@@ -672,19 +753,23 @@ func (t *Tokenizer) readString(intern bool) (string, error) {
 		}
 		c := w[i]
 		if c == '"' {
-			if first && t.cur.Fixed() {
-				t.cur.Advance(i + 1)
+			if first {
+				// Escape-free and inside one window: no copy needed.
 				seg := w[:i]
-				if intern {
-					return t.internKey(seg), nil
+				t.cur.Advance(i + 1)
+				if isKey {
+					return t.key(seg, t.cur.Fixed()), nil
 				}
-				return cursor.Borrow(seg), nil
+				if t.cur.Fixed() {
+					return cursor.Borrow(seg), nil
+				}
+				return string(seg), nil
 			}
 			buf = append(buf, w[:i]...)
 			t.cur.Advance(i + 1)
 			t.textBuf = buf
-			if intern {
-				return t.internKey(buf), nil
+			if isKey {
+				return t.key(buf, false), nil
 			}
 			return string(buf), nil
 		}
@@ -743,6 +828,31 @@ func (t *Tokenizer) readString(intern bool) (string, error) {
 		}
 	}
 }
+
+// key returns the element name for the decoded object key b and sets
+// t.keySym: the alphabet's canonical string for an in-alphabet key;
+// otherwise b itself, borrowed, when borrow says b is a subslice of a
+// []byte input, or the interned copy.
+func (t *Tokenizer) key(b []byte, borrow bool) string {
+	if t.keySym = t.syms.LookupBytes(b); t.keySym != 0 {
+		return t.syms.Name(t.keySym)
+	}
+	if borrow {
+		return cursor.Borrow(b)
+	}
+	return t.internKey(b)
+}
+
+// strStop marks the bytes that end readString's plain run: the quote,
+// the backslash and raw control characters. One table load per byte
+// replaces three comparisons in the hot loop.
+var strStop = func() (t [256]bool) {
+	for c := 0; c < 0x20; c++ {
+		t[c] = true
+	}
+	t['"'], t['\\'] = true, true
+	return t
+}()
 
 // internKey returns the canonical string for an object key. Hits cost a
 // map lookup with no allocation; misses store an owned copy, never

@@ -120,12 +120,17 @@ func New(src event.Source, buf *buffer.Buffer, rolePaths []xpath.Path) *Preproje
 // TokensProcessed, which stops counting tokens inside skipped
 // subtrees, so measurement runs that record per-token buffer plots
 // keep it disabled.
+//
+// It also hands the automaton's name alphabet to the source
+// (event.Source.SetSymbols), so each StartElement arrives tagged with
+// the symbol id the automaton's transition table is indexed by.
 func (p *Preprojector) EnableSkipping(a *xpath.Automaton) {
 	if a == nil {
 		return
 	}
 	p.dfa = a
 	p.dfaStack = append(p.dfaStack[:0], a.Start())
+	p.src.SetSymbols(a.Symbols())
 }
 
 // TokensProcessed reports the number of input tokens consumed.
@@ -150,13 +155,13 @@ func (p *Preprojector) Step() (bool, error) {
 	}
 	switch tok.Kind {
 	case event.StartElement:
-		if err := p.startElement(tok); err != nil {
+		if err := p.startElement(&tok); err != nil {
 			return false, err
 		}
 	case event.EndElement:
 		p.endElement()
 	case event.Text:
-		p.text(tok)
+		p.text(&tok)
 	}
 	if p.OnToken != nil {
 		p.OnToken()
@@ -204,12 +209,13 @@ func (c *completion) reset() {
 	c.roles = c.roles[:0]
 }
 
-func (p *Preprojector) startElement(tok event.Token) error {
+func (p *Preprojector) startElement(tok *event.Token) error {
 	var dfaNext int32
 	if p.dfa != nil {
-		// Static dead-state test: a single table lookup decides subtree
+		// Static dead-state test: a single table lookup, indexed by the
+		// symbol id the source tagged the token with, decides subtree
 		// relevance before any per-item test re-evaluation happens.
-		dfaNext = p.dfa.Next(p.dfaStack[len(p.dfaStack)-1], tok.Name)
+		dfaNext = p.dfa.NextSym(p.dfaStack[len(p.dfaStack)-1], tok.Sym)
 		if p.dfa.Dead(dfaNext) {
 			return p.src.SkipSubtree()
 		}
@@ -330,7 +336,7 @@ func (p *Preprojector) endElement() {
 	}
 }
 
-func (p *Preprojector) text(tok event.Token) {
+func (p *Preprojector) text(tok *event.Token) {
 	top := &p.stack[len(p.stack)-1]
 	done := &p.done
 	done.reset()

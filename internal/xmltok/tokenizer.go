@@ -8,6 +8,7 @@ import (
 	"sync"
 
 	"gcx/internal/cursor"
+	"gcx/internal/event"
 )
 
 // Tokenizer reads an XML byte stream and produces Tokens one at a time.
@@ -29,10 +30,17 @@ type Tokenizer struct {
 
 	// stack of currently open element names.
 	stack []string
-	// names interns element and attribute names so that repeated tags in
-	// large documents share one string allocation. Only owned copies are
-	// stored — never borrowed input bytes — because the map outlives the
-	// input across pooled reuses.
+	// syms is the query's name alphabet (SetSymbols), or nil. Names in
+	// it come back as the alphabet's own strings with no lookup beyond a
+	// byte compare; sym is the id readName found for the name it just
+	// read (0 outside the alphabet).
+	syms *event.Symbols
+	sym  int32
+	// names interns the reader path's out-of-alphabet element and
+	// attribute names so that repeated tags in large documents share one
+	// string allocation. Only owned copies are stored — never borrowed
+	// input bytes — because the map outlives the input across pooled
+	// reuses. The []byte path borrows such names from the input instead.
 	names map[string]string
 
 	// pending holds a synthesized token (the EndElement of a self-closing
@@ -106,6 +114,8 @@ func NewTokenizerBytes(data []byte) *Tokenizer {
 
 func (t *Tokenizer) reset() {
 	t.stack = t.stack[:0]
+	t.syms = nil
+	t.sym = 0
 	if len(t.names) > maxInternedNames {
 		clear(t.names)
 	}
@@ -135,6 +145,11 @@ func (t *Tokenizer) SetContext(ctx context.Context) {
 	}
 }
 
+// SetSymbols attaches the query's name alphabet (event.Source): every
+// StartElement then carries its name's symbol id in Token.Sym. Call it
+// before the first Next.
+func (t *Tokenizer) SetSymbols(syms *event.Symbols) { t.syms = syms }
+
 // Release returns the tokenizer's buffers to the pool. The tokenizer
 // must not be used afterwards; counters read before Release stay valid.
 // Release is idempotent.
@@ -144,6 +159,11 @@ func (t *Tokenizer) Release() {
 	}
 	t.released = true
 	t.cur.ResetBytes(nil) // drop the reader / input-slice reference
+	// Names on the []byte path borrow the input: a pooled tokenizer
+	// must not keep them (or the caller's input) alive.
+	clear(t.stack[:cap(t.stack)])
+	t.stack = t.stack[:0]
+	t.syms = nil
 	t.ctx = nil
 	t.ctxDone = nil
 	t.pending = nil
@@ -342,6 +362,9 @@ func (t *Tokenizer) readStartTag() (Token, bool, error) {
 	if err != nil {
 		return Token{}, false, err
 	}
+	// Capture the element name's symbol before attribute names
+	// overwrite t.sym.
+	sym := t.sym
 	var attrs []Attr
 	for {
 		t.skipSpace()
@@ -352,7 +375,7 @@ func (t *Tokenizer) readStartTag() (Token, bool, error) {
 		switch b {
 		case '>':
 			t.stack = append(t.stack, name)
-			return Token{Kind: StartElement, Name: name, Attrs: attrs}, false, nil
+			return Token{Kind: StartElement, Sym: sym, Name: name, Attrs: attrs}, false, nil
 		case '/':
 			b2, err := t.cur.Byte()
 			if err != nil || b2 != '>' {
@@ -360,7 +383,7 @@ func (t *Tokenizer) readStartTag() (Token, bool, error) {
 			}
 			t.stack = append(t.stack, name)
 			t.pending = &Token{Kind: EndElement, Name: name}
-			return Token{Kind: StartElement, Name: name, Attrs: attrs}, false, nil
+			return Token{Kind: StartElement, Sym: sym, Name: name, Attrs: attrs}, false, nil
 		default:
 			t.cur.Unread()
 			a, err := t.readAttr(name)
@@ -648,10 +671,11 @@ func resolveEntityBytes(s []byte) (string, bool) {
 }
 
 // readName reads an XML name (simplified NCName: letters, digits, '.',
-// '-', '_', ':'), interned. The common case — the whole name inside the
-// current window — is a single bounded scan with a map lookup and no
-// allocation; only names straddling a reader-path refill boundary take
-// the accumulating slow path.
+// '-', '_', ':') and records its symbol id in t.sym. The common case —
+// the whole name inside the current window — is a single bounded scan
+// plus an alphabet byte compare and no allocation; only names
+// straddling a reader-path refill boundary take the accumulating slow
+// path.
 func (t *Tokenizer) readName() (string, error) {
 	if err := t.cur.Fill(); err != nil {
 		return "", t.errf("expected name")
@@ -666,7 +690,7 @@ func (t *Tokenizer) readName() (string, error) {
 	}
 	if i < len(w) || t.cur.Fixed() {
 		t.cur.Advance(i)
-		return t.intern(w[:i]), nil
+		return t.name(w[:i]), nil
 	}
 	// Name runs to the window edge on the reader path: accumulate.
 	t.textBuf = append(t.textBuf[:0], w[:i]...)
@@ -682,7 +706,21 @@ func (t *Tokenizer) readName() (string, error) {
 		}
 		t.textBuf = append(t.textBuf, b)
 	}
-	return t.intern(t.textBuf), nil
+	return t.name(t.textBuf), nil
+}
+
+// name returns the string for name bytes b and sets t.sym: the
+// alphabet's canonical string for an in-alphabet name; otherwise a
+// borrowed subslice of the input on the []byte path (b is then always
+// input bytes, never scratch), or the interned copy on the reader path.
+func (t *Tokenizer) name(b []byte) string {
+	if t.sym = t.syms.LookupBytes(b); t.sym != 0 {
+		return t.syms.Name(t.sym)
+	}
+	if t.cur.Fixed() {
+		return cursor.Borrow(b)
+	}
+	return t.intern(b)
 }
 
 // intern returns the canonical string for a name. Hits cost a map

@@ -3,6 +3,8 @@ package xpath
 import (
 	"fmt"
 	"sort"
+
+	"gcx/internal/event"
 )
 
 // Automaton is a deterministic automaton over element names compiled
@@ -23,19 +25,25 @@ import (
 // in every successor state below the element where they became active,
 // which is exactly why a //item path keeps the whole regions subtree
 // alive while letting the sibling people section go dead.
+//
+// The input alphabet is compiled too: syms numbers the names the path
+// tests mention 1..n, and symbol 0 is the class of every other name
+// (wildcard and node() tests still match those). A state's transitions
+// are one dense row of trans, indexed by symbol id, so a step is one
+// slice index — the tokenizers deliver the id with each StartElement
+// (event.Token.Sym), and no name is hashed on the way.
 type Automaton struct {
 	states []dfaState
 	start  int32
+	syms   *event.Symbols
+	// trans holds one row of syms.Len() successor states per state:
+	// the successor of state s on symbol id is trans[s*stride+id].
+	trans  []int32
+	stride int
 }
 
 // dfaState is one subset-construction state.
 type dfaState struct {
-	// byName maps the element names mentioned by any path test to
-	// successor states; names not present take the other transition.
-	byName map[string]int32
-	// other is the successor for element names no TestName step
-	// mentions (wildcard and node() tests still match those).
-	other int32
 	// dead marks the empty, non-accepting, latch-free state: no
 	// projection path can match at or below an element in this state,
 	// and visiting the element has no side effect on matcher state.
@@ -112,8 +120,9 @@ func (s *posSet) key() string {
 	return string(buf)
 }
 
-// symbol is one input letter of the automaton: a concrete element name,
-// or the class of all names no path test mentions.
+// symbol is one input letter of the automaton during construction: a
+// concrete element name, or (other) the class of all names no path
+// test mentions.
 type symbol struct {
 	name  string
 	other bool
@@ -145,7 +154,7 @@ func CompileAutomaton(paths []Path) *Automaton {
 // skipping is unavailable for the path set, for Explain output.
 func CompileAutomatonReason(paths []Path) (*Automaton, string) {
 	steps := make([][]Step, len(paths))
-	names := map[string]struct{}{}
+	var names []string
 	for i, p := range paths {
 		steps[i] = p.Steps
 		for _, st := range p.Steps {
@@ -156,12 +165,15 @@ func CompileAutomatonReason(paths []Path) (*Automaton, string) {
 					" axis, which the byte-level path DFA cannot track"
 			}
 			if st.Test.Kind == TestName {
-				names[st.Test.Name] = struct{}{}
+				names = append(names, st.Test.Name)
 			}
 		}
 	}
 
-	a := &Automaton{}
+	// Sorted names give the symbol ids a deterministic order.
+	sort.Strings(names)
+	syms := event.NewSymbols(names)
+	a := &Automaton{syms: syms, stride: syms.Len()}
 	ids := map[string]int32{}
 
 	// intern registers a canonical set, returning its state id.
@@ -272,12 +284,13 @@ func CompileAutomatonReason(paths []Path) (*Automaton, string) {
 		return next
 	}
 
-	symbols := make([]symbol, 0, len(names)+1)
-	for n := range names {
-		symbols = append(symbols, symbol{name: n})
+	// symbols[id] is the construction letter of symbol id: 0 is the
+	// other class.
+	symbols := make([]symbol, syms.Len())
+	symbols[0].other = true
+	for id := 1; id < len(symbols); id++ {
+		symbols[id].name = syms.Name(int32(id))
 	}
-	sort.Slice(symbols, func(i, j int) bool { return symbols[i].name < symbols[j].name })
-	symbols = append(symbols, symbol{other: true})
 
 	for done := 0; done < len(worklist); done++ {
 		cur := worklist[done] // worklist grows in lockstep with a.states
@@ -286,15 +299,7 @@ func CompileAutomatonReason(paths []Path) (*Automaton, string) {
 			if len(a.states) > maxAutomatonStates {
 				return nil, fmt.Sprintf("subset construction exceeded the %d-state cap", maxAutomatonStates)
 			}
-			st := &a.states[done]
-			if sym.other {
-				st.other = id
-			} else {
-				if st.byName == nil {
-					st.byName = make(map[string]int32, len(symbols))
-				}
-				st.byName[sym.name] = id
-			}
+			a.trans = append(a.trans, id)
 		}
 	}
 	return a, ""
@@ -303,14 +308,15 @@ func CompileAutomatonReason(paths []Path) (*Automaton, string) {
 // Start returns the state of the virtual document root.
 func (a *Automaton) Start() int32 { return a.start }
 
-// Next returns the successor state entered by a child element with the
-// given name.
-func (a *Automaton) Next(state int32, name string) int32 {
-	st := &a.states[state]
-	if id, ok := st.byName[name]; ok {
-		return id
-	}
-	return st.other
+// Symbols returns the automaton's input alphabet: the names its path
+// tests mention. Sources tag StartElements with ids from it
+// (event.Source.SetSymbols), which NextSym consumes.
+func (a *Automaton) Symbols() *event.Symbols { return a.syms }
+
+// NextSym returns the successor state entered by a child element whose
+// name has symbol id sym in Symbols() (0 for a name outside it).
+func (a *Automaton) NextSym(state, sym int32) int32 {
+	return a.trans[int(state)*a.stride+int(sym)]
 }
 
 // Dead reports whether the state is dead: no projection path can match

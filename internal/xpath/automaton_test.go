@@ -12,13 +12,19 @@ func descStep(name string) Step {
 	return Step{Axis: Descendant, Test: Test{Kind: TestName, Name: name}}
 }
 
-// walk drives the automaton down a chain of element names.
+// walk drives the automaton down a chain of element names, each
+// translated to its symbol id as a tokenizer would.
 func walk(a *Automaton, names ...string) int32 {
 	s := a.Start()
 	for _, n := range names {
-		s = a.Next(s, n)
+		s = next(a, s, n)
 	}
 	return s
+}
+
+// next is one symbol step on an element name.
+func next(a *Automaton, s int32, name string) int32 {
+	return a.NextSym(s, a.Symbols().Lookup(name))
 }
 
 func TestAutomatonChildPaths(t *testing.T) {
@@ -124,7 +130,7 @@ func TestAutomatonFirstWitnessLatch(t *testing.T) {
 		t.Fatal("element matching a [1] step must not be skipped (latch side effect)")
 	}
 	// But its children carry no positions: dead from there on.
-	if s2 := a.Next(s, "x"); !a.Dead(s2) {
+	if s2 := next(a, s, "x"); !a.Dead(s2) {
 		t.Fatal("children of a latch-only state must be dead")
 	}
 }
@@ -196,7 +202,7 @@ func TestAutomatonDeterministicAndTotal(t *testing.T) {
 	names := []string{"a", "b", "c", "zzz", "b"}
 	s := a.Start()
 	for i := 0; i < 64; i++ {
-		s = a.Next(s, names[i%len(names)])
+		s = next(a, s, names[i%len(names)])
 	}
 	if a.NumStates() < 2 {
 		t.Fatalf("suspiciously small automaton: %d states", a.NumStates())
